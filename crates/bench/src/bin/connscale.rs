@@ -1,29 +1,24 @@
-//! Connection-scale bench: qps and resident memory for each edge
-//! transport while N mostly-idle connections are held open.
+//! Connection-scale bench: qps and resident memory of the TCP edge while
+//! N mostly-idle connections are held open.
 //!
-//! This is the experiment the epoll reactor exists for (ROADMAP item 3,
-//! DESIGN.md §13): a thread-per-connection edge pays one OS thread and
-//! two descriptors per connection whether or not it is talking, so its
-//! footprint grows linearly and its accept path caps out; a reactor pays
-//! one slab entry and one descriptor, so throughput on the *active*
-//! connections should stay flat as the idle population grows.
+//! This is the experiment the epoll reactor exists for (DESIGN.md §13):
+//! it pays one slab entry and one descriptor per connection, so
+//! throughput on the *active* connections should stay flat as the idle
+//! population grows.
 //!
 //! Idle connections are held by child processes (`connscale hold <addr>
 //! <n>`) so the bench process's descriptor budget is spent on the server
 //! side only. Tiers request 1k / 5k / 50k connections; each tier is
 //! clamped to what the container's `RLIMIT_NOFILE` (20 000 here, and not
 //! raisable without `CAP_SYS_RESOURCE`) leaves for the server after
-//! slack, which is also why the blocking edge — two descriptors per
-//! connection — caps near half of what the reactor holds.
+//! slack.
 //!
 //! Produces `BENCH_connscale.json`. Run with
 //! `cargo run --release --bin connscale`.
 
 use bespokv_proto::client::{Op, Request};
 use bespokv_proto::parser::{BinaryParser, ProtocolParser};
-use bespokv_runtime::tcp::{
-    Handler, ServerOptions, TcpClient, TcpServer, TransportKind,
-};
+use bespokv_runtime::tcp::{Handler, ServerOptions, TcpClient, TcpServer};
 use bespokv_types::{ClientId, Key, KvError, RequestId, Value};
 use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
@@ -31,8 +26,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Requested tiers; each is clamped per transport to the descriptor
-/// budget.
+/// Requested tiers; each is clamped to the descriptor budget.
 const TIERS: [usize; 3] = [1_000, 5_000, 50_000];
 /// Idle connections per holder child (each child has its own fd limit).
 const PER_CHILD: usize = 4_000;
@@ -240,18 +234,9 @@ struct TierResult {
     refused: u64,
 }
 
-/// Descriptors the server spends per connection on this transport: the
-/// blocking edge keeps the stream plus a try_clone registered for
-/// shutdown; the reactor keeps just the stream in its slab.
-fn fds_per_conn(kind: TransportKind) -> usize {
-    match kind {
-        TransportKind::Blocking => 2,
-        TransportKind::Reactor => 1,
-    }
-}
-
-fn run_transport(kind: TransportKind) -> Vec<TierResult> {
-    let budget = fd_limit().saturating_sub(512) / fds_per_conn(kind);
+fn run_tiers() -> Vec<TierResult> {
+    // One descriptor per connection: the stream in the reactor's slab.
+    let budget = fd_limit().saturating_sub(512);
     let mut results = Vec::new();
     for requested in TIERS {
         let target = requested.min(budget);
@@ -260,9 +245,7 @@ fn run_transport(kind: TransportKind) -> Vec<TierResult> {
             parser_factory(),
             kv_handler(),
             ServerOptions {
-                worker_threads: Some(2),
                 max_connections: Some(target + ACTIVE + 64),
-                transport: Some(kind),
                 reactor_threads: Some(2),
                 ..ServerOptions::default()
             },
@@ -283,7 +266,7 @@ fn run_transport(kind: TransportKind) -> Vec<TierResult> {
             refused: stats.connections_refused,
         });
         eprintln!(
-            "{kind:?} tier {requested}: held {} qps {:.0} rss {} MB",
+            "tier {requested}: held {} qps {:.0} rss {} MB",
             holders.held,
             qps,
             rss_kb / 1024
@@ -316,16 +299,13 @@ fn main() {
     }
 
     let limit = fd_limit();
-    let blocking = run_transport(TransportKind::Blocking);
-    let reactor = run_transport(TransportKind::Reactor);
+    let reactor = run_tiers();
     let mut out = String::new();
     out.push('{');
     out.push_str(&format!("\"fd_limit\":{limit},"));
     out.push_str(&format!(
         "\"active_conns\":{ACTIVE},\"pipeline_depth\":{DEPTH},\"measure_ms\":{MEASURE_MS},"
     ));
-    out.push_str(&to_json("blocking", &blocking));
-    out.push(',');
     out.push_str(&to_json("reactor", &reactor));
     out.push('}');
     println!("{out}");

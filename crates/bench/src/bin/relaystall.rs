@@ -1,15 +1,15 @@
 //! Relay-stall bench: healthy-node goodput while a peer controlet is
-//! wedged solid for 2 seconds under the reactor edge.
+//! wedged solid for 2 seconds.
 //!
 //! The gray-failure scenario the nonblocking relay exists for: node 0's
 //! edge relays every request into a controlet that stops making progress
-//! (alive, accepting TCP, heartbeating — just not working). Before this
-//! PR each parked relay held a server thread, so one wedged node could
-//! absorb the whole reactor pool and take healthy traffic down with it.
-//! Now a parked relay is a table entry: the bench wedges node 0, parks a
-//! burst of relays on it, and measures node 1's read goodput during the
-//! wedge against its own unwedged baseline — the PR's acceptance floor
-//! is a 0.9x ratio with zero extra threads blocked.
+//! (alive, accepting TCP, heartbeating — just not working). If a parked
+//! relay held a server thread, one wedged node could absorb the whole
+//! reactor pool and take healthy traffic down with it. A parked relay is
+//! a table entry: the bench wedges node 0, parks a burst of relays on it,
+//! and measures node 1's read goodput during the wedge against its own
+//! unwedged baseline — the acceptance floor is a 0.9x ratio with zero
+//! extra threads blocked.
 //!
 //! Produces `BENCH_relaystall.json` on stdout. Run with
 //! `cargo run --release --bin relaystall > BENCH_relaystall.json`.
@@ -18,7 +18,7 @@ use bespokv_cluster::edge::{EdgeOverload, NodeEdge};
 use bespokv_cluster::{ClusterSpec, LiveCluster};
 use bespokv_proto::client::{Op, Request, Response};
 use bespokv_proto::parser::{BinaryParser, ProtocolParser};
-use bespokv_runtime::tcp::{ServerOptions, TcpClient, TcpServer, TransportKind};
+use bespokv_runtime::tcp::{ServerOptions, TcpClient, TcpServer};
 use bespokv_types::{
     ClientId, Duration, Key, Mode, NodeId, OverloadCounters, RequestId, Value,
 };
@@ -78,10 +78,7 @@ fn reactor_edge(
         "127.0.0.1:0",
         parser_factory(),
         edge.defer_handler(),
-        ServerOptions {
-            transport: Some(TransportKind::Reactor),
-            ..ServerOptions::default()
-        },
+        ServerOptions::default(),
     )
     .unwrap();
     (edge, server)

@@ -2,10 +2,10 @@
 //! offered load past capacity.
 //!
 //! Stands up a real `LiveCluster` (MS+SC, one chain of three) with the
-//! full overload-protection stack armed — bounded worker-pool queue,
-//! per-read pipeline cap, bounded edge relay table, actor mailbox caps,
-//! deadline rejection — then drives the *write* path (every PUT takes the
-//! single-threaded controlet actor) in three phases:
+//! full overload-protection stack armed — per-turn pipeline budget,
+//! bounded edge relay table, actor mailbox caps, deadline rejection —
+//! then drives the *write* path (every PUT takes the single-threaded
+//! controlet actor) in three phases:
 //!
 //! 1. **peak**: moderate closed-loop load that fits capacity, to measure
 //!    the achievable goodput baseline;
@@ -21,10 +21,10 @@
 //! Prints one JSON object; used to produce `BENCH_saturate.json`. Run
 //! with `cargo run --release --bin saturate`.
 
-use bespokv_cluster::{ClusterSpec, EdgeOverload, FastPathTable, LiveCluster, NodeEdge};
+use bespokv_cluster::{ClusterSpec, LiveCluster};
 use bespokv_proto::client::{Op, Request};
-use bespokv_proto::parser::{BinaryParser, ProtocolParser};
-use bespokv_runtime::tcp::{ServerOptions, TcpClient, TcpServer};
+use bespokv_proto::parser::BinaryParser;
+use bespokv_runtime::tcp::TcpClient;
 use bespokv_types::{ClientId, Key, KvError, Mode, NodeId, OverloadConfig, RequestId, Value};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -32,15 +32,14 @@ use std::time::{Duration, Instant};
 
 const KEYS: u32 = 2048;
 const MEASURE_MS: u64 = 800;
-/// Server-side cap on requests dispatched from one socket read.
+/// Requests served per connection per reactor turn (fairness, not shed).
 const PIPELINE_CAP: usize = 32;
+/// Requests parked on the controlet at once; the shed point. The peak
+/// phase's 2 x 16 in flight fit, the overload phase's 4 x 128 do not.
+const RELAY_CAP: usize = 64;
 
 fn key(i: u32) -> Key {
     Key::from(format!("user{i:012}"))
-}
-
-fn parser_factory() -> Arc<bespokv_runtime::tcp::ParserFactory> {
-    Arc::new(|| Box::new(BinaryParser::new()) as Box<dyn ProtocolParser>)
 }
 
 /// One phase of closed-loop PUT load: `threads` clients, each pipelining
@@ -160,46 +159,21 @@ fn percentile(sorted: &[f64], p: usize) -> f64 {
 fn main() {
     let ocfg = OverloadConfig {
         pipeline_cap: PIPELINE_CAP,
+        relay_cap: RELAY_CAP,
         ..OverloadConfig::default()
     };
     let mut cluster = LiveCluster::build(
-        ClusterSpec::new(1, 3, Mode::MS_SC).with_overload(ocfg),
+        ClusterSpec::new(1, 3, Mode::MS_SC)
+            .with_fast_path()
+            .with_overload(ocfg),
     );
     let counters = cluster.overload_counters();
+    // Deadlines are stamped against the clock the edge checks them with.
+    let clock = cluster.rt.clock();
 
-    // Deadlines are stamped and checked against this one clock; the edge
-    // gets the same closure the client uses.
-    let epoch = Instant::now();
-    let clock = Arc::new(move || bespokv_types::Instant(epoch.elapsed().as_nanos() as u64));
-
-    // No fast path: every request takes the actor, which is the resource
-    // being saturated.
-    let table = Arc::new(FastPathTable::new(cluster.map.clone()));
-    let head_edge = NodeEdge::new(
-        NodeId(0),
-        Arc::clone(&table),
-        cluster.rt.register_mailbox(),
-        false,
-    )
-    .with_overload(EdgeOverload {
-        relay_cap: ocfg.relay_cap,
-        relay_timeout: ocfg.relay_timeout,
-        relay_stall_threshold: ocfg.relay_stall_threshold,
-        counters: Arc::clone(&counters),
-        clock: Arc::clone(&clock) as Arc<dyn Fn() -> bespokv_types::Instant + Send + Sync>,
-    });
-    let server = TcpServer::bind_with(
-        "127.0.0.1:0",
-        parser_factory(),
-        head_edge.handler(),
-        ServerOptions {
-            worker_threads: Some(4),
-            max_connections: Some(ocfg.max_connections),
-            pipeline_cap: Some(PIPELINE_CAP),
-            ..ServerOptions::default()
-        },
-    )
-    .unwrap();
+    // Fast path off at this edge: every request takes the actor, which is
+    // the resource being saturated.
+    let (head_edge, server) = cluster.tcp_edge(NodeId(0), false);
     let addr = server.local_addr();
     let seq = AtomicU32::new(0);
 
@@ -272,7 +246,7 @@ fn main() {
          \"other_err\":{},\"accepted_p50_ms\":{p50:.2},\"accepted_p99_ms\":{p99:.2}}},\
          \"goodput_ratio\":{ratio:.3},\
          \"deadline\":{{\"sent\":{},\"shed\":{dl_shed}}},\
-         \"server\":{{\"accepted\":{},\"refused\":{},\"pipeline_shed\":{},\"pool_shed\":{}}},\
+         \"server\":{{\"accepted\":{},\"refused\":{}}},\
          \"counters\":{{\"mailbox_shed\":{},\"relay_shed\":{},\"deadline_expired\":{},\
          \"head_window_shed\":{},\"slow_slave_trims\":{},\"slow_slave_resyncs\":{}}}}}",
         peak.goodput(),
@@ -285,8 +259,6 @@ fn main() {
         dl_reqs.len(),
         stats.connections_accepted,
         stats.connections_refused,
-        stats.pipeline_shed,
-        stats.pool_shed,
         snap.mailbox_shed,
         snap.relay_shed,
         snap.deadline_expired,

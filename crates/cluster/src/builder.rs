@@ -1,32 +1,22 @@
-//! Cluster assembly on the discrete-event simulator.
+//! Cluster specification, and the cluster on the discrete-event simulator.
 //!
-//! Builds the full bespoKV deployment the paper evaluates: one controlet
-//! per datalet (per shard replica), a coordinator, the optional DLM and
-//! shared-log services, standby pairs for failover, and closed-loop
-//! workload clients.
-//!
-//! Address layout (the coordinator's `NodeId(n) == Addr(n)` convention):
-//!
-//! ```text
-//! [0 .. shards*replication)             controlet-datalet pairs
-//! [.. + standbys)                       standby pairs
-//! next                                  coordinator
-//! next, next                            DLM, shared log
-//! remainder                             clients / transition controlets
-//! ```
+//! [`ClusterSpec`] describes the full bespoKV deployment the paper
+//! evaluates: one controlet per datalet (per shard replica), a coordinator,
+//! the optional DLM and shared-log services, standby pairs for failover.
+//! `crate::assembly` wires it (address layout there); [`SimCluster`] runs
+//! it under virtual time with a network model and closed-loop workload
+//! clients.
 
+use crate::assembly::{assemble, fast_path_handle, Assembled, Wiring};
 use crate::client_actor::{OpSource, WorkloadClient};
 use bespokv::client::ClientCore;
-use bespokv::controlet::{Controlet, ControletConfig, RecoveredLocal};
+use bespokv::controlet::{Controlet, RecoveredLocal};
 use bespokv_coordinator::{CoordConfig, CoordinatorActor};
 use bespokv_datalet::{
-    CrashDevice, Datalet, EngineKind, LogDevice, LsmConfig, MemDevice, RecoveryReport, SyncPolicy,
-    TLog, TLsm,
+    CrashDevice, Datalet, EngineKind, LogDevice, LsmConfig, RecoveryReport, SyncPolicy, TLog, TLsm,
 };
-use bespokv_dlm::DlmActor;
 use bespokv_proto::{CoordMsg, NetMsg};
 use bespokv_runtime::{Addr, CostModel, FaultPlan, NetworkModel, Simulation, TransportProfile};
-use bespokv_sharedlog::SharedLogActor;
 use bespokv_types::{
     ClientId, Duration, HistoryRecorder, Key, Mode, NodeId, OverloadConfig, OverloadCounters,
     Partitioning, ShardId, ShardInfo, ShardMap, SkewConfig, Value,
@@ -125,11 +115,11 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    fn device_seed(&self, node: NodeId) -> u64 {
+    pub(crate) fn device_seed(&self, node: NodeId) -> u64 {
         self.seed ^ (node.raw() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    fn build_engine(&self, dev: Arc<CrashDevice>) -> Arc<dyn Datalet> {
+    pub(crate) fn build_engine(&self, dev: Arc<CrashDevice>) -> Arc<dyn Datalet> {
         match self.engine {
             EngineKind::TLog => Arc::new(
                 TLog::open(dev as Arc<dyn LogDevice>, self.sync)
@@ -298,11 +288,8 @@ impl ClusterSpec {
     }
 
     /// TCP edge server options derived from this spec's overload config,
-    /// so live edges bound by test/bench harnesses inherit the cluster's
-    /// connection cap, pipeline cap, and reactor sizing instead of
-    /// restating them. The transport itself stays unset here — it is
-    /// resolved per process from `BESPOKV_EDGE` (or the platform default)
-    /// at bind time.
+    /// so live edges inherit the cluster's connection cap, pipeline cap,
+    /// and reactor sizing instead of restating them.
     pub fn edge_server_options(&self) -> bespokv_runtime::tcp::ServerOptions {
         let mut opts = bespokv_runtime::tcp::ServerOptions::default();
         if let Some(o) = self.overload {
@@ -368,17 +355,6 @@ pub struct SimCluster {
 impl SimCluster {
     /// Builds the cluster described by `spec`.
     pub fn build(spec: ClusterSpec) -> Self {
-        let mut map = ShardMap::dense(
-            spec.shards,
-            spec.replication,
-            spec.mode,
-            spec.partitioning.clone(),
-        );
-        for (i, &mode) in spec.per_shard_modes.iter().enumerate() {
-            if let Some(info) = map.shard_mut(ShardId(i as u32)) {
-                info.mode = mode;
-            }
-        }
         let mut net = NetworkModel::uniform(spec.transport);
         if let Some(plan) = &spec.faults {
             net = net.with_faults(plan.clone());
@@ -387,129 +363,23 @@ impl SimCluster {
             net = net.with_stalls(plan.clone());
         }
         let mut sim = Simulation::new(net);
-        let num_nodes = spec.num_nodes();
-        let coordinator = Addr(num_nodes + spec.standbys);
-        let dlm = Addr(coordinator.0 + 1);
-        // The shared log scales with the cluster (the paper: "we need to
-        // scale the Shared Log setup as BESPOKV scales"): one log service
-        // instance per shard.
-        let shared_logs: Vec<Addr> = (0..spec.shards)
-            .map(|s| Addr(coordinator.0 + 2 + s))
-            .collect();
-
-        let recorder = spec.history.then(HistoryRecorder::new);
-        let fast_path = (spec.fast_path || spec.write_combine).then(|| {
-            let mut t = crate::edge::FastPathTable::new(map.clone());
-            if let Some(cfg) = spec.skew {
-                t = t.with_skew(cfg);
-            }
-            Arc::new(t)
-        });
-        let overload_counters = Arc::new(OverloadCounters::new());
         if let Some(o) = spec.overload {
             sim.set_max_queue_delay(o.max_queue_delay);
         }
-        let mut datalet_by_node: HashMap<NodeId, Arc<dyn Datalet>> = HashMap::new();
-        let mut crash_devices: HashMap<NodeId, Arc<CrashDevice>> = HashMap::new();
-        let mut shard_of_node: HashMap<NodeId, ShardId> = HashMap::new();
-        let mut controlets = Vec::new();
-        let mut datalets: Vec<Arc<dyn Datalet>> = Vec::new();
-        for shard in 0..spec.shards {
-            let info = map.shard(ShardId(shard)).expect("dense").clone();
-            for (pos, &node) in info.replicas.iter().enumerate() {
-                let engine = spec.engines[pos % spec.engines.len()];
-                let datalet = match &spec.durability {
-                    Some(d) => {
-                        let dev =
-                            Arc::new(CrashDevice::new(MemDevice::new(), d.device_seed(node)));
-                        crash_devices.insert(node, Arc::clone(&dev));
-                        d.build_engine(dev)
-                    }
-                    None => engine.build(),
-                };
-                shard_of_node.insert(node, ShardId(shard));
-                let mut cfg = ControletConfig::new(node, ShardId(shard), coordinator);
-                cfg.dlm = Some(dlm);
-                cfg.shared_log = Some(shared_logs[shard as usize]);
-                cfg.cost = cost_for(engine);
-                cfg.heartbeat_every = spec.heartbeat_every;
-                cfg.prop_flush_every = spec.prop_flush_every;
-                cfg.log_poll_every = spec.log_poll_every;
-                cfg.p2p_forwarding = spec.p2p;
-                cfg.recorder = recorder.clone();
-                // Counters are shared unconditionally so harnesses can read
-                // recovery telemetry without arming overload protection.
-                cfg.counters = Arc::clone(&overload_counters);
-                if let Some(o) = spec.overload {
-                    cfg.overload = o;
-                }
-                let controlet = Controlet::with_info(cfg, Arc::clone(&datalet), info.clone())
-                    .with_cluster_map(map.clone());
-                // The gate and dirty set must be grabbed before the
-                // controlet moves into the simulator.
-                if let Some(t) = &fast_path {
-                    t.register(
-                        node,
-                        crate::edge::FastPathHandle {
-                            gate: controlet.serving_gate(),
-                            dirty: controlet.dirty_keys(),
-                            datalet: Arc::clone(&datalet),
-                            shard: ShardId(shard),
-                            default_level: info.mode.consistency,
-                            writes: spec.write_combine.then(|| controlet.oplog()),
-                        },
-                    );
-                }
-                let addr = sim.add_actor(Box::new(controlet));
-                assert_eq!(addr.0, node.raw(), "address/NodeId convention broken");
-                controlets.push(addr);
-                datalet_by_node.insert(node, Arc::clone(&datalet));
-                datalets.push(datalet);
-            }
-        }
-        // Standbys: fresh empty pairs awaiting StartRecovery.
-        let mut standbys = Vec::new();
-        for i in 0..spec.standbys {
-            let node = NodeId(num_nodes + i);
-            let engine = spec.engines[0];
-            let datalet = engine.build();
-            let mut cfg = ControletConfig::new(node, ShardId(u32::MAX), coordinator);
-            cfg.dlm = Some(dlm);
-            // Standbys learn their shard at StartRecovery; give them the
-            // first log instance and rebind on assignment below if needed.
-            cfg.shared_log = Some(shared_logs[0]);
-            cfg.cost = cost_for(engine);
-            cfg.heartbeat_every = spec.heartbeat_every;
-            cfg.prop_flush_every = spec.prop_flush_every;
-            cfg.log_poll_every = spec.log_poll_every;
-            cfg.recorder = recorder.clone();
-            cfg.counters = Arc::clone(&overload_counters);
-            if let Some(o) = spec.overload {
-                cfg.overload = o;
-            }
-            let controlet = Controlet::new(cfg, Arc::clone(&datalet));
-            let addr = sim.add_actor(Box::new(controlet));
-            assert_eq!(addr.0, node.raw());
-            standbys.push(addr);
-            datalet_by_node.insert(node, Arc::clone(&datalet));
-            datalets.push(datalet);
-        }
-        // Coordinator, DLM, shared log.
-        let mut coord_actor = CoordinatorActor::new(spec.coord, map.clone());
-        for i in 0..spec.standbys {
-            coord_actor.core_mut().add_standby(NodeId(num_nodes + i));
-        }
-        let got = sim.add_actor(Box::new(coord_actor));
-        assert_eq!(got, coordinator);
-        let got = sim.add_actor(Box::new(DlmActor::new(
-            spec.dlm_lease,
-            Duration::from_millis(50),
-        )));
-        assert_eq!(got, dlm);
-        for &expected in &shared_logs {
-            let got = sim.add_actor(Box::new(SharedLogActor::new()));
-            assert_eq!(got, expected);
-        }
+        let Assembled {
+            map,
+            controlets,
+            standbys,
+            coordinator,
+            dlm,
+            shared_logs,
+            datalets,
+            recorder,
+            fast_path,
+            overload_counters,
+            crash_devices,
+            shard_of_node,
+        } = assemble(&spec, &mut |actor| sim.add_actor(actor));
         // Connection-refused semantics for client traffic: a request to a
         // crashed node errors immediately (as a TCP connect would) instead
         // of silently timing out; replication/control traffic to dead
@@ -526,6 +396,11 @@ impl SimCluster {
             )),
             _ => None,
         }));
+        let datalet_by_node = datalets
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (NodeId(i as u32), Arc::clone(d)))
+            .collect();
 
         SimCluster {
             sim,
@@ -546,6 +421,17 @@ impl SimCluster {
             datalet_by_node,
             crash_devices,
             shard_of_node,
+        }
+    }
+
+    fn wiring(&self) -> Wiring<'_> {
+        Wiring {
+            spec: &self.spec,
+            coordinator: self.coordinator,
+            dlm: self.dlm,
+            shared_logs: &self.shared_logs,
+            recorder: &self.recorder,
+            counters: &self.overload_counters,
         }
     }
 
@@ -780,18 +666,7 @@ impl SimCluster {
         );
         let engine = self.spec.engines[0];
         let datalet = engine.build();
-        let mut cfg = ControletConfig::new(node, ShardId(u32::MAX), self.coordinator);
-        cfg.dlm = Some(self.dlm);
-        cfg.shared_log = Some(self.shared_logs[0]);
-        cfg.cost = cost_for(engine);
-        cfg.heartbeat_every = self.spec.heartbeat_every;
-        cfg.prop_flush_every = self.spec.prop_flush_every;
-        cfg.log_poll_every = self.spec.log_poll_every;
-        cfg.recorder = self.recorder.clone();
-        cfg.counters = Arc::clone(&self.overload_counters);
-        if let Some(o) = self.spec.overload {
-            cfg.overload = o;
-        }
+        let cfg = self.wiring().config(node, ShardId(u32::MAX), 0, engine);
         let controlet = Controlet::new(cfg, Arc::clone(&datalet));
         // Standbys are not registered with the fast path: they learn their
         // shard only at StartRecovery, and a handle's shard is fixed at
@@ -827,18 +702,9 @@ impl SimCluster {
             .get(&node)
             .unwrap_or_else(|| panic!("{node} was never assigned a shard"));
         let (datalet, report) = d.recover_engine(dev);
-        let mut cfg = ControletConfig::new(node, ShardId(u32::MAX), self.coordinator);
-        cfg.dlm = Some(self.dlm);
-        cfg.shared_log = Some(self.shared_logs[shard.raw() as usize % self.shared_logs.len()]);
-        cfg.cost = cost_for(d.engine);
-        cfg.heartbeat_every = self.spec.heartbeat_every;
-        cfg.prop_flush_every = self.spec.prop_flush_every;
-        cfg.log_poll_every = self.spec.log_poll_every;
-        cfg.recorder = self.recorder.clone();
-        cfg.counters = Arc::clone(&self.overload_counters);
-        if let Some(o) = self.spec.overload {
-            cfg.overload = o;
-        }
+        let mut cfg =
+            self.wiring()
+                .config(node, ShardId(u32::MAX), shard.raw() as usize, d.engine);
         // The floor is only meaningful if the coordinator sends the node
         // back to its old shard AND the topology keeps log order = version
         // order; the controlet's StartRecovery handler checks both and
@@ -895,18 +761,7 @@ impl SimCluster {
             // Address is assigned by the simulator; NodeId must match it.
             let probe = NodeId(self.sim.num_actors() as u32);
             let engine = self.spec.engines[pos % self.spec.engines.len()];
-            let mut cfg = ControletConfig::new(probe, shard, self.coordinator);
-            cfg.dlm = Some(self.dlm);
-            cfg.shared_log = Some(self.shared_logs[shard.raw() as usize % self.shared_logs.len()]);
-            cfg.cost = cost_for(engine);
-            cfg.heartbeat_every = self.spec.heartbeat_every;
-            cfg.prop_flush_every = self.spec.prop_flush_every;
-            cfg.log_poll_every = self.spec.log_poll_every;
-            cfg.recorder = self.recorder.clone();
-            cfg.counters = Arc::clone(&self.overload_counters);
-            if let Some(o) = self.spec.overload {
-                cfg.overload = o;
-            }
+            let cfg = self.wiring().config(probe, shard, shard.raw() as usize, engine);
             let controlet = Controlet::new(cfg, Arc::clone(&datalet));
             // Register the replacement controlets with the fast path. Their
             // gates stay closed until they adopt the post-transition shard
@@ -914,14 +769,13 @@ impl SimCluster {
             if let Some(t) = &self.fast_path {
                 t.register(
                     probe,
-                    crate::edge::FastPathHandle {
-                        gate: controlet.serving_gate(),
-                        dirty: controlet.dirty_keys(),
-                        datalet: Arc::clone(&datalet),
+                    fast_path_handle(
+                        &controlet,
+                        &datalet,
                         shard,
-                        default_level: new_mode.consistency,
-                        writes: self.spec.write_combine.then(|| controlet.oplog()),
-                    },
+                        new_mode.consistency,
+                        self.spec.write_combine,
+                    ),
                 );
             }
             let addr = self.sim.add_actor(Box::new(controlet));

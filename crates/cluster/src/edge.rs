@@ -3,8 +3,8 @@
 //! A controlet is a single-threaded actor, so with the actor loop on the
 //! read path every GET serializes through one thread per node. But the
 //! datalet underneath is a concurrent store, and most reads need none of
-//! the controlet's machinery. [`FastPathTable`] lets *edge threads* — TCP
-//! workers on the live runtime, the scripted client in the simulator —
+//! the controlet's machinery. [`FastPathTable`] lets *edge threads* — the
+//! TCP reactors on the live runtime, the scripted client in the simulator —
 //! answer GETs directly against the shared datalet, consulting the
 //! controlet-published [`ServingState`] gate to decide, per read, whether
 //! this replica may legitimately answer at the requested consistency:
@@ -21,7 +21,7 @@
 //! (failover, recovery, transition) slams the fast path shut.
 //!
 //! [`NodeEdge`] packages the live-runtime side: a TCP request handler
-//! that serves GETs on the worker thread when permitted and relays the
+//! that serves GETs on the reactor thread when permitted and relays the
 //! rest to the controlet actor through a [`Mailbox`].
 //!
 //! The optional **skew engine** ([`SkewState`]) rides on both halves.
@@ -31,8 +31,8 @@
 //! is served only when the gate word, the key's dirty bit, *and* the
 //! stripe's write generation all prove nothing changed since the fill,
 //! so it inherits the fast path's staleness argument verbatim — and
-//! (b) *request coalescing* in [`NodeEdge::handler`]: concurrent relayed
-//! GETs for the same hot key share one upstream read through a
+//! (b) *request coalescing* in [`NodeEdge::defer_handler`]: concurrent
+//! relayed GETs for the same hot key share one upstream read through a
 //! singleflight table, with followers woken off the leader's response.
 
 use bespokv::{CombinerSnapshot, DirtySet, OpLog, ReadPermit, ServingState, Submit};
@@ -48,7 +48,7 @@ use bespokv_types::{
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// Everything an edge thread needs to serve reads for one node.
 pub struct FastPathHandle {
@@ -638,7 +638,7 @@ fn finish(carried: Option<Completer>, resp: Response) -> Served {
 }
 
 /// The live-runtime edge for one node: a TCP-server-compatible request
-/// handler that serves permitted GETs on the calling worker thread and
+/// handler that serves permitted GETs on the calling reactor thread and
 /// relays everything else to the controlet actor via a [`Mailbox`]. A
 /// relayed request *parks the connection, never the thread*: the serving
 /// turn returns immediately with [`Served::Parked`] and the demux thread
@@ -720,7 +720,7 @@ impl NodeEdge {
     }
 
     /// Enables the flat-combining write path: PUT/DELs are published into
-    /// the node's op log on the worker thread instead of relaying one
+    /// the node's op log on the reactor thread instead of relaying one
     /// actor message per write (requires the node's handle to carry an
     /// op log — see `FastPathHandle::writes`).
     pub fn with_write_combine(self, on: bool) -> Self {
@@ -751,42 +751,12 @@ impl NodeEdge {
 
     /// The deferred request handler for `TcpServer::bind_deferred`: serves
     /// or sheds inline where possible and parks the *connection* for
-    /// relays. Under the reactor edge a relayed request costs the serving
-    /// thread nothing but the dispatch — the wedge-2-seconds failure mode
-    /// where every reactor thread parks behind one gray controlet is gone.
+    /// relays. A relayed request costs the reactor thread nothing but the
+    /// dispatch, so a wedged controlet cannot absorb reactor threads.
     pub fn defer_handler(&self) -> Arc<DeferHandler> {
         let inner = Arc::clone(&self.inner);
         Arc::new(move |req: Request, mut defer: Defer<'_>| {
             inner.serve(req, &mut || defer.completer())
-        })
-    }
-
-    /// A blocking `TcpServer`-compatible request handler: same serving
-    /// logic, with the calling thread parked on relays (one pool worker
-    /// under the blocking transport). Kept for benches and unit tests;
-    /// transport edges should prefer [`Self::defer_handler`].
-    pub fn handler(&self) -> Arc<dyn Fn(Request) -> Response + Send + Sync> {
-        let inner = Arc::clone(&self.inner);
-        Arc::new(move |req: Request| {
-            let rid = req.id;
-            let (tx, rx) = mpsc::channel();
-            let mut minted = false;
-            let served = inner.serve(req, &mut || {
-                minted = true;
-                let tx = tx.clone();
-                Completer::new(rid, move |resp| {
-                    let _ = tx.send(resp);
-                })
-            });
-            match served {
-                Served::Ready(resp) => resp,
-                // The demux deadline sweep guarantees every parked entry
-                // completes; a dropped channel means edge teardown.
-                Served::Parked if minted => rx
-                    .recv()
-                    .unwrap_or_else(|_| Response::err(rid, KvError::Timeout)),
-                Served::Parked => Response::err(rid, KvError::Timeout),
-            }
         })
     }
 }

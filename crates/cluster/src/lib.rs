@@ -7,6 +7,7 @@
 //! Every figure of the paper's evaluation is driven through this crate
 //! (see `bespokv-bench`).
 
+mod assembly;
 pub mod builder;
 pub mod client_actor;
 pub mod edge;

@@ -6,17 +6,13 @@
 //! correctness under true parallelism, wall-clock time, nondeterministic
 //! interleavings.
 
-use crate::builder::{cost_for, ClusterSpec};
+use crate::assembly::{assemble, Assembled};
+use crate::builder::ClusterSpec;
 use bespokv::client::ClientCore;
-use bespokv::controlet::{Controlet, ControletConfig};
-use bespokv_coordinator::CoordinatorActor;
-use bespokv_datalet::Datalet;
-use bespokv_dlm::DlmActor;
+use bespokv_datalet::{CrashDevice, Datalet};
 use bespokv_runtime::{Actor, Addr, LiveRuntime};
-use bespokv_sharedlog::SharedLogActor;
-use bespokv_types::{
-    ClientId, Duration, HistoryRecorder, NodeId, OverloadCounters, ShardId, ShardMap,
-};
+use bespokv_types::{ClientId, Duration, HistoryRecorder, NodeId, OverloadCounters, ShardMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A cluster running on real threads.
@@ -31,131 +27,42 @@ pub struct LiveCluster {
     pub datalets: Vec<Arc<dyn Datalet>>,
     /// The initial map.
     pub map: ShardMap,
+    /// The spec this cluster was built from.
+    spec: ClusterSpec,
     next_client_id: u32,
     /// Per-client (completed-step counter, script length), registered at
     /// spawn time so progress is observable while the actor runs.
-    script_progress: std::collections::HashMap<Addr, (Arc<std::sync::atomic::AtomicUsize>, usize)>,
+    script_progress: HashMap<Addr, (Arc<std::sync::atomic::AtomicUsize>, usize)>,
     /// Consistency-oracle recorder (present when the spec enabled history).
     recorder: Option<HistoryRecorder>,
     /// Shared read fast path (present when the spec enabled it).
     fast_path: Option<Arc<crate::edge::FastPathTable>>,
-    /// Cluster-wide overload counters (meaningful when the spec armed
-    /// overload protection; zeroes otherwise).
+    /// Cluster-wide overload counters (shed events are meaningful when the
+    /// spec armed overload protection; recovery telemetry always).
     overload_counters: Arc<OverloadCounters>,
-    /// The spec's overload config, for wiring clients added later.
-    overload: Option<bespokv_types::OverloadConfig>,
-    /// The spec's skew config, for wiring clients added later.
-    skew: Option<bespokv_types::SkewConfig>,
-    /// Whether the spec enabled the read fast path (the table may also
-    /// exist purely for write combining).
-    read_fast_path: bool,
-    /// Whether the spec enabled the flat-combining write path.
-    write_combine: bool,
+    /// Per-node crash devices (durability specs only); `kill_node` cuts
+    /// their power.
+    crash_devices: HashMap<NodeId, Arc<CrashDevice>>,
 }
 
 impl LiveCluster {
-    /// Stands the cluster up on threads. Mirrors `SimCluster::build`.
+    /// Stands the cluster up on threads: the same assembly as
+    /// `SimCluster::build`, spawned onto the live runtime.
     pub fn build(spec: ClusterSpec) -> Self {
-        let map = ShardMap::dense(
-            spec.shards,
-            spec.replication,
-            spec.mode,
-            spec.partitioning.clone(),
-        );
         let mut rt = LiveRuntime::new();
-        let num_nodes = spec.num_nodes();
-        let coordinator = Addr(num_nodes + spec.standbys);
-        let dlm = Addr(coordinator.0 + 1);
-        let shared_logs: Vec<Addr> = (0..spec.shards)
-            .map(|s| Addr(coordinator.0 + 2 + s))
-            .collect();
-        let recorder = spec.history.then(HistoryRecorder::new);
-        let fast_path = (spec.fast_path || spec.write_combine).then(|| {
-            let mut t = crate::edge::FastPathTable::new(map.clone());
-            if let Some(cfg) = spec.skew {
-                t = t.with_skew(cfg);
-            }
-            Arc::new(t)
-        });
-        let overload_counters = Arc::new(OverloadCounters::new());
+        let Assembled {
+            map,
+            controlets,
+            coordinator,
+            datalets,
+            recorder,
+            fast_path,
+            overload_counters,
+            crash_devices,
+            ..
+        } = assemble(&spec, &mut |actor| rt.spawn(actor));
         if let Some(o) = spec.overload {
             rt.set_mailbox_cap(o.mailbox_cap, Arc::clone(&overload_counters));
-        }
-        let mut controlets = Vec::new();
-        let mut datalets: Vec<Arc<dyn Datalet>> = Vec::new();
-        for shard in 0..spec.shards {
-            let info = map.shard(ShardId(shard)).expect("dense").clone();
-            for (pos, &node) in info.replicas.iter().enumerate() {
-                let engine = spec.engines[pos % spec.engines.len()];
-                let datalet = engine.build();
-                let mut cfg = ControletConfig::new(node, ShardId(shard), coordinator);
-                cfg.dlm = Some(dlm);
-                cfg.shared_log = Some(shared_logs[shard as usize]);
-                cfg.cost = cost_for(engine);
-                cfg.heartbeat_every = spec.heartbeat_every;
-                cfg.prop_flush_every = spec.prop_flush_every;
-                cfg.log_poll_every = spec.log_poll_every;
-                cfg.p2p_forwarding = spec.p2p;
-                cfg.recorder = recorder.clone();
-                if let Some(o) = spec.overload {
-                    cfg.overload = o;
-                    cfg.counters = Arc::clone(&overload_counters);
-                }
-                let controlet = Controlet::with_info(cfg, Arc::clone(&datalet), info.clone())
-                    .with_cluster_map(map.clone());
-                // Grab the gate and dirty set before the controlet moves
-                // onto its thread.
-                if let Some(t) = &fast_path {
-                    t.register(
-                        node,
-                        crate::edge::FastPathHandle {
-                            gate: controlet.serving_gate(),
-                            dirty: controlet.dirty_keys(),
-                            datalet: Arc::clone(&datalet),
-                            shard: ShardId(shard),
-                            default_level: info.mode.consistency,
-                            writes: spec.write_combine.then(|| controlet.oplog()),
-                        },
-                    );
-                }
-                let addr = rt.spawn(Box::new(controlet));
-                assert_eq!(addr.0, node.raw());
-                controlets.push(addr);
-                datalets.push(datalet);
-            }
-        }
-        for i in 0..spec.standbys {
-            let node = NodeId(num_nodes + i);
-            let engine = spec.engines[0];
-            let datalet = engine.build();
-            let mut cfg = ControletConfig::new(node, ShardId(u32::MAX), coordinator);
-            cfg.dlm = Some(dlm);
-            cfg.shared_log = Some(shared_logs[0]);
-            cfg.cost = cost_for(engine);
-            cfg.heartbeat_every = spec.heartbeat_every;
-            cfg.recorder = recorder.clone();
-            if let Some(o) = spec.overload {
-                cfg.overload = o;
-                cfg.counters = Arc::clone(&overload_counters);
-            }
-            let addr = rt.spawn(Box::new(Controlet::new(cfg, Arc::clone(&datalet))));
-            assert_eq!(addr.0, node.raw());
-            datalets.push(datalet);
-        }
-        let mut coord = CoordinatorActor::new(spec.coord, map.clone());
-        for i in 0..spec.standbys {
-            coord.core_mut().add_standby(NodeId(num_nodes + i));
-        }
-        let got = rt.spawn(Box::new(coord));
-        assert_eq!(got, coordinator);
-        let got = rt.spawn(Box::new(DlmActor::new(
-            spec.dlm_lease,
-            Duration::from_millis(50),
-        )));
-        assert_eq!(got, dlm);
-        for &expected in &shared_logs {
-            let got = rt.spawn(Box::new(SharedLogActor::new()));
-            assert_eq!(got, expected);
         }
         LiveCluster {
             rt,
@@ -163,15 +70,13 @@ impl LiveCluster {
             coordinator,
             datalets,
             map,
+            spec,
             next_client_id: 3000,
-            script_progress: std::collections::HashMap::new(),
+            script_progress: HashMap::new(),
             recorder,
             fast_path,
             overload_counters,
-            overload: spec.overload,
-            skew: spec.skew,
-            read_fast_path: spec.fast_path,
-            write_combine: spec.write_combine,
+            crash_devices,
         }
     }
 
@@ -203,11 +108,9 @@ impl LiveCluster {
     /// relaying into the node's controlet, served by a `TcpServer` on an
     /// ephemeral local port speaking the binary protocol. Server caps
     /// (connection slab, pipeline budget, reactor sizing) and relay-side
-    /// overload protection come from the spec's overload config; the
-    /// transport (blocking vs epoll reactor) resolves per process from
-    /// `BESPOKV_EDGE`. Requires the spec to have enabled the fast-path
-    /// table; `serve_fast_path: false` routes every request through the
-    /// actor (the relay baseline).
+    /// overload protection come from the spec's overload config. Requires
+    /// the spec to have enabled the fast-path table; `serve_fast_path:
+    /// false` routes every request through the actor (the relay baseline).
     pub fn tcp_edge(
         &mut self,
         node: NodeId,
@@ -219,15 +122,9 @@ impl LiveCluster {
                 .expect("tcp_edge requires with_fast_path() or with_write_combine()"),
         );
         let mut edge =
-            crate::edge::NodeEdge::new(node, table, self.rt.register_mailbox(), serve_fast_path);
-        if self.write_combine {
-            edge.set_write_combine(true);
-        }
-        let mut opts = bespokv_runtime::tcp::ServerOptions::default();
-        if let Some(o) = self.overload {
-            opts.max_connections = Some(o.max_connections);
-            opts.pipeline_cap = Some(o.pipeline_cap);
-            opts.reactor_threads = (o.reactor_threads > 0).then_some(o.reactor_threads);
+            crate::edge::NodeEdge::new(node, table, self.rt.register_mailbox(), serve_fast_path)
+                .with_write_combine(self.spec.write_combine);
+        if let Some(o) = self.spec.overload {
             edge = edge.with_overload(crate::edge::EdgeOverload {
                 relay_cap: o.relay_cap,
                 relay_timeout: o.relay_timeout,
@@ -241,13 +138,12 @@ impl LiveCluster {
                 as Box<dyn bespokv_proto::parser::ProtocolParser>
         });
         // Deferred completion: a relayed request parks its *connection*,
-        // not the serving thread — under the reactor transport a wedged
-        // controlet cannot absorb reactor threads.
+        // not the reactor thread — a wedged controlet cannot absorb them.
         let server = bespokv_runtime::tcp::TcpServer::bind_deferred(
             "127.0.0.1:0",
             parser_factory,
             edge.defer_handler(),
-            opts,
+            self.spec.edge_server_options(),
         )
         .expect("bind tcp edge");
         (edge, server)
@@ -284,10 +180,10 @@ impl LiveCluster {
         if let Some(rec) = &self.recorder {
             core = core.with_history(rec.clone());
         }
-        if let Some(o) = self.overload {
+        if let Some(o) = self.spec.overload {
             core = core.with_overload(o, Arc::clone(&self.overload_counters));
         }
-        if let Some(cfg) = self.skew {
+        if let Some(cfg) = self.spec.skew {
             let counters = self
                 .fast_path
                 .as_ref()
@@ -298,10 +194,10 @@ impl LiveCluster {
         }
         let mut client = crate::script::ScriptClient::new(core, script);
         if let Some(t) = &self.fast_path {
-            if self.read_fast_path {
+            if self.spec.fast_path {
                 client = client.with_fast_path(Arc::clone(t));
             }
-            if self.write_combine {
+            if self.spec.write_combine {
                 client = client.with_write_combine(Arc::clone(t));
             }
         }
@@ -312,7 +208,8 @@ impl LiveCluster {
         addr
     }
 
-    /// Crashes a node.
+    /// Crashes a node (with a durability spec, a power cut on its device
+    /// too, as `SimCluster::kill_node` does).
     pub fn kill_node(&mut self, node: NodeId) -> Option<Box<dyn Actor>> {
         // Close the gate first: edge threads mid-read must fail seqlock
         // validation rather than serve on behalf of a dead node.
@@ -320,7 +217,11 @@ impl LiveCluster {
             t.close(node);
             t.unregister(node);
         }
-        self.rt.kill(Addr(node.raw()))
+        let actor = self.rt.kill(Addr(node.raw()));
+        if let Some(dev) = self.crash_devices.get(&node) {
+            dev.crash().expect("crash cut on an in-memory device");
+        }
+        actor
     }
 
     /// Stops a client and returns its recorded results.

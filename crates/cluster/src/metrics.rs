@@ -168,13 +168,6 @@ pub struct EdgeStats {
     pub protocol_error_drops: u64,
     /// Connections refused at the `max_connections` cap.
     pub connections_refused: u64,
-    /// Requests answered `Overloaded` at a per-connection pipeline cap.
-    pub pipeline_shed: u64,
-    /// Requests answered `Overloaded` at a full worker-pool queue.
-    pub pool_shed: u64,
-    /// Connections closed because the OS refused to spawn their handler
-    /// thread (blocking edge under thread exhaustion).
-    pub spawn_failures: u64,
     /// Shed/expiry/containment events from the overload-protection layer
     /// (edges, controlets, clients sharing one counter set).
     pub overload: OverloadSnapshot,
@@ -192,9 +185,6 @@ impl EdgeStats {
         self.connections_accepted += s.connections_accepted;
         self.protocol_error_drops += s.protocol_error_drops;
         self.connections_refused += s.connections_refused;
-        self.pipeline_shed += s.pipeline_shed;
-        self.pool_shed += s.pool_shed;
-        self.spawn_failures += s.spawn_failures;
     }
 
     /// Folds an overload-counter snapshot into the aggregate.
@@ -202,8 +192,6 @@ impl EdgeStats {
         let o = &mut self.overload;
         o.queue_shed += s.queue_shed;
         o.mailbox_shed += s.mailbox_shed;
-        o.pipeline_shed += s.pipeline_shed;
-        o.pool_shed += s.pool_shed;
         o.relay_shed += s.relay_shed;
         o.deadline_expired += s.deadline_expired;
         o.head_window_shed += s.head_window_shed;
@@ -248,14 +236,11 @@ impl std::fmt::Display for EdgeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "edge: {} conns accepted, {} refused, {} dropped on protocol errors, \
-             {} pipeline shed, {} pool shed, {} spawn failures; {}; {}; {}",
+            "edge: {} conns accepted, {} refused, {} dropped on protocol errors; \
+             {}; {}; {}",
             self.connections_accepted,
             self.connections_refused,
             self.protocol_error_drops,
-            self.pipeline_shed,
-            self.pool_shed,
-            self.spawn_failures,
             self.overload,
             self.combiner,
             self.skew,
@@ -360,24 +345,17 @@ mod tests {
             connections_accepted: 3,
             protocol_error_drops: 1,
             connections_refused: 2,
-            pipeline_shed: 4,
-            pool_shed: 0,
-            spawn_failures: 1,
+            pipeline_shed: 0,
         });
         agg.absorb(TcpServerStats {
             connections_accepted: 2,
             protocol_error_drops: 0,
             connections_refused: 1,
             pipeline_shed: 0,
-            pool_shed: 5,
-            spawn_failures: 0,
         });
         assert_eq!(agg.connections_accepted, 5);
         assert_eq!(agg.protocol_error_drops, 1);
         assert_eq!(agg.connections_refused, 3);
-        assert_eq!(agg.pipeline_shed, 4);
-        assert_eq!(agg.pool_shed, 5);
-        assert_eq!(agg.spawn_failures, 1);
         assert!(agg.to_string().contains("1 dropped"));
         assert!(agg.to_string().contains("3 refused"));
     }

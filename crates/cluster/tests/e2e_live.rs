@@ -79,3 +79,42 @@ fn live_replication_converges() {
         .unwrap();
     assert_eq!(v.value, Value::from("v"));
 }
+
+/// One spec means one cluster on both runtimes: a hybrid, durable spec with
+/// a standby must come out of `LiveCluster::build` with the same shard map
+/// (per-shard modes applied), the same engines and the same per-node
+/// fast-path consistency as out of `SimCluster::build`.
+#[test]
+fn live_and_sim_assemble_the_same_cluster_from_one_spec() {
+    use bespokv_cluster::{DurabilityConfig, SimCluster};
+    use bespokv_datalet::{EngineKind, SyncPolicy};
+    use bespokv_types::NodeId;
+
+    let spec = ClusterSpec::new(2, 3, Mode::MS_SC)
+        .with_per_shard_modes(vec![Mode::MS_SC, Mode::AA_EC])
+        .with_standbys(1)
+        .with_fast_path()
+        .with_durability(DurabilityConfig {
+            engine: EngineKind::TLog,
+            sync: SyncPolicy::Always,
+            seed: 7,
+        });
+    let sim = SimCluster::build(spec.clone());
+    let live = LiveCluster::build(spec);
+
+    assert_eq!(live.map, sim.map, "hybrid shard modes must reach the live map");
+    assert_eq!(live.map.shard(bespokv_types::ShardId(1)).unwrap().mode, Mode::AA_EC);
+    let names = |d: &[std::sync::Arc<dyn bespokv_datalet::Datalet>]| -> Vec<&'static str> {
+        d.iter().map(|d| d.name()).collect()
+    };
+    assert_eq!(names(&live.datalets), names(&sim.datalets), "durable engines");
+    let (lt, st) = (live.fast_path().unwrap(), sim.fast_path().unwrap());
+    for n in 0..6 {
+        let level = |t: &bespokv_cluster::FastPathTable| {
+            t.effective_level(NodeId(n), ConsistencyLevel::Default)
+        };
+        assert_eq!(level(lt), level(st), "node {n} default consistency");
+        assert!(level(lt).is_some());
+    }
+    live.rt.shutdown();
+}

@@ -14,17 +14,14 @@
 //! * [`live`] — a thread-per-actor driver over crossbeam channels with
 //!   real timers; integration tests and wall-clock measurements run here.
 //! * [`tcp`] — a real TCP server/client speaking any protocol parser, for
-//!   the client edge and the socket-vs-kernel-bypass comparison. Two
-//!   transports back the server behind the [`tcp::EdgeTransport`] seam:
-//!   blocking thread-per-connection, and the epoll [`reactor`] for
-//!   tens-of-thousands-of-connections scale.
+//!   the client edge and the socket-vs-kernel-bypass comparison. The
+//!   server is the epoll [`reactor`] (Linux only).
 //! * [`netmodel`] — transport profiles (socket / DPDK / 1 Gbps cloud) and
 //!   datalet cost models used by the simulator.
 
 pub mod actor;
 pub mod live;
 pub mod netmodel;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod sim;
 pub mod tcp;

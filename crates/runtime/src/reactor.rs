@@ -1,10 +1,10 @@
-//! Epoll reactor transport for the client edge (Linux only).
+//! Epoll reactor: the transport behind [`crate::tcp::TcpServer`] (Linux
+//! only).
 //!
-//! The blocking edge in [`crate::tcp`] spends a thread (and two fds) per
-//! connection; at tens of thousands of mostly-idle connections the stacks
-//! and context switches dominate. This module is the readiness-based
-//! alternative the paper's event-driven framework implies: **N reactor
-//! threads**, each owning
+//! A thread per connection spends a stack and two fds on each; at tens of
+//! thousands of mostly-idle connections the stacks and context switches
+//! dominate. This is the readiness-based design the paper's event-driven
+//! framework implies: **N reactor threads**, each owning
 //!
 //! * one epoll instance (via the vendored `mio` shim),
 //! * one acceptor — its own `SO_REUSEPORT` listener when the platform
@@ -13,16 +13,16 @@
 //! * a slab of connection states, indexed by the epoll token.
 //!
 //! Reads are edge-triggered: a readable event marks the connection and the
-//! drive loop reads until `WouldBlock`, feeding the same incremental
-//! [`ProtocolParser`] the blocking edge uses. Each response is encoded
-//! once into a frame that is queued as-is; a vectored write
-//! (`writev`-style) flushes a batch of frames per turn without recopying
-//! them into a contiguous output buffer.
+//! drive loop reads until `WouldBlock`, feeding the connection's
+//! incremental [`ProtocolParser`]. Each response is encoded once into a
+//! frame that is queued as-is; a vectored write (`writev`-style) flushes a
+//! batch of frames per turn without recopying them into a contiguous
+//! output buffer.
 //!
-//! # Backpressure, re-expressed
+//! # Backpressure
 //!
-//! The blocking edge's overload caps map onto reactor mechanics instead of
-//! shed-and-reply wherever flow control can do the job:
+//! Overload caps are expressed as flow control wherever it can do the job,
+//! not shed-and-reply:
 //!
 //! * `pipeline_cap` → a **fairness budget**: at most that many requests
 //!   are decoded and served per connection per turn. Surplus input stays
@@ -37,11 +37,9 @@
 //!   [`KvError::Overloaded`], and is closed — the client learns it was
 //!   shed instead of staring at an unanswered SYN backlog. (A bounded
 //!   number of such "shed lane" connections exist at once; beyond that the
-//!   socket is simply dropped, as the blocking edge always does.)
+//!   socket is simply dropped.)
 
-use crate::tcp::{
-    AnyHandler, Completer, EdgeCounters, EdgeTransport, ParserFactory, Served, ServerOptions,
-};
+use crate::tcp::{AnyHandler, Completer, EdgeCounters, ParserFactory, Served, ServerOptions};
 use bespokv_proto::client::Response;
 use bespokv_proto::parser::ProtocolParser;
 use bespokv_types::KvError;
@@ -62,7 +60,7 @@ const ACCEPT: Token = Token(usize::MAX - 1);
 /// Token of every reactor's shutdown waker.
 const WAKE: Token = Token(usize::MAX);
 
-/// Socket read granularity (same as the blocking edge's stack buffer).
+/// Socket read granularity.
 const READ_CHUNK: usize = 16 * 1024;
 /// Pending output beyond this pauses serving (and thus reading) the
 /// connection until the socket drains.
@@ -89,7 +87,7 @@ fn default_reactor_count() -> usize {
 /// State shared by all reactor threads of one server.
 struct ReactorShared {
     stop: AtomicBool,
-    counters: Arc<EdgeCounters>,
+    counters: EdgeCounters,
     /// Live (non-shed) connections across all reactors.
     conn_count: AtomicUsize,
     max_connections: Option<usize>,
@@ -140,7 +138,8 @@ impl Injector {
     }
 }
 
-/// The epoll-reactor implementation of [`EdgeTransport`].
+/// The reactor threads of one [`crate::tcp::TcpServer`]. Dropping it stops
+/// accepting, closes live connections and joins every thread.
 pub(crate) struct ReactorEdge {
     local_addr: SocketAddr,
     shared: Arc<ReactorShared>,
@@ -154,79 +153,71 @@ impl ReactorEdge {
         make_parser: Arc<ParserFactory>,
         handler: AnyHandler,
         options: &ServerOptions,
-        counters: Arc<EdgeCounters>,
     ) -> io::Result<ReactorEdge> {
         let n = options.reactor_threads.unwrap_or_else(default_reactor_count).max(1);
+        // Polls first: off Linux the shim fails here with `Unsupported`,
+        // before any socket exists.
+        let polls = (0..n).map(|_| Poll::new()).collect::<io::Result<Vec<_>>>()?;
         let (listeners, local_addr, accept_lock) = build_listeners(addr, n)?;
         let shared = Arc::new(ReactorShared {
             stop: AtomicBool::new(false),
-            counters,
+            counters: EdgeCounters::default(),
             conn_count: AtomicUsize::new(0),
             max_connections: options.max_connections,
             budget: options.pipeline_cap.unwrap_or(DEFAULT_TURN_BUDGET).max(1),
         });
-        let mut injectors = Vec::with_capacity(n);
-        let mut threads = Vec::with_capacity(n);
-        let startup = || -> io::Result<()> {
-            for (i, listener) in listeners.into_iter().enumerate() {
-                let poll = Poll::new()?;
-                let waker = Waker::new(poll.registry(), WAKE)?;
-                let injector = Arc::new(Injector {
-                    queue: Mutex::new(Vec::new()),
-                    waker,
-                });
-                let mut mio_listener = MioListener::from_std(listener);
-                poll.registry()
-                    .register(&mut mio_listener, ACCEPT, Interest::READABLE)?;
-                let mut reactor = Reactor {
-                    poll,
-                    listener: mio_listener,
-                    accept_lock: accept_lock.clone(),
-                    shared: Arc::clone(&shared),
-                    make_parser: Arc::clone(&make_parser),
-                    handler: handler.clone(),
-                    injector: Arc::clone(&injector),
-                    slab: Vec::new(),
-                    free: Vec::new(),
-                    ready: Vec::new(),
-                    shed_count: 0,
-                    next_gen: 0,
-                    read_buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
-                };
-                let t = std::thread::Builder::new()
-                    .name(format!("bespokv-reactor-{i}"))
-                    .spawn(move || reactor.run())?;
-                injectors.push(injector);
-                threads.push(t);
-            }
-            Ok(())
-        };
-        if let Err(e) = startup() {
-            // Partial start: unwind the reactors already running.
-            shared.stop.store(true, Ordering::Release);
-            for inj in &injectors {
-                let _ = inj.waker.wake();
-            }
-            for t in threads {
-                let _ = t.join();
-            }
-            return Err(e);
-        }
-        Ok(ReactorEdge {
+        // An early `?` return drops `edge`, which stops and joins the
+        // reactors already running.
+        let mut edge = ReactorEdge {
             local_addr,
             shared,
-            injectors,
-            threads,
-        })
+            injectors: Vec::with_capacity(n),
+            threads: Vec::with_capacity(n),
+        };
+        for (i, (poll, listener)) in polls.into_iter().zip(listeners).enumerate() {
+            let waker = Waker::new(poll.registry(), WAKE)?;
+            let injector = Arc::new(Injector {
+                queue: Mutex::new(Vec::new()),
+                waker,
+            });
+            let mut mio_listener = MioListener::from_std(listener);
+            poll.registry()
+                .register(&mut mio_listener, ACCEPT, Interest::READABLE)?;
+            let mut reactor = Reactor {
+                poll,
+                listener: mio_listener,
+                accept_lock: accept_lock.clone(),
+                shared: Arc::clone(&edge.shared),
+                make_parser: Arc::clone(&make_parser),
+                handler: handler.clone(),
+                injector: Arc::clone(&injector),
+                slab: Vec::new(),
+                free: Vec::new(),
+                ready: Vec::new(),
+                shed_count: 0,
+                next_gen: 0,
+                read_buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
+            };
+            let t = std::thread::Builder::new()
+                .name(format!("bespokv-reactor-{i}"))
+                .spawn(move || reactor.run())?;
+            edge.injectors.push(injector);
+            edge.threads.push(t);
+        }
+        Ok(edge)
     }
 
     pub(crate) fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
+
+    pub(crate) fn counters(&self) -> &EdgeCounters {
+        &self.shared.counters
+    }
 }
 
-impl EdgeTransport for ReactorEdge {
-    fn shutdown(&mut self) {
+impl Drop for ReactorEdge {
+    fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         for inj in &self.injectors {
             let _ = inj.waker.wake();
@@ -234,12 +225,6 @@ impl EdgeTransport for ReactorEdge {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-    }
-}
-
-impl Drop for ReactorEdge {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -867,9 +852,7 @@ mod sys {
 
 #[cfg(test)]
 mod tests {
-    use crate::tcp::{
-        Handler, ServerOptions, TcpClient, TcpServer, TransportKind,
-    };
+    use crate::tcp::{Handler, ServerOptions, TcpClient, TcpServer};
     use bespokv_proto::client::{Op, Request, RespBody, Response};
     use bespokv_proto::parser::{BinaryParser, ProtocolParser};
     use bespokv_types::{ClientId, Key, KvError, RequestId, Value, VersionedValue};
@@ -909,7 +892,6 @@ mod tests {
             Arc::new(|| Box::new(BinaryParser::new()) as Box<dyn ProtocolParser>),
             kv_handler(),
             ServerOptions {
-                transport: Some(TransportKind::Reactor),
                 reactor_threads: Some(2),
                 ..options
             },
@@ -924,7 +906,6 @@ mod tests {
     #[test]
     fn reactor_roundtrip_and_stop() {
         let server = reactor_server(ServerOptions::default());
-        assert_eq!(server.transport_kind(), TransportKind::Reactor);
         let mut client =
             TcpClient::connect(server.local_addr(), Box::new(BinaryParser::new())).unwrap();
         let put = Request::new(
@@ -1254,7 +1235,6 @@ mod tests {
             Arc::new(|| Box::new(BinaryParser::new()) as Box<dyn ProtocolParser>),
             handler,
             ServerOptions {
-                transport: Some(TransportKind::Reactor),
                 // One reactor thread: if the park blocked it, the probe
                 // connection below could not be served at all.
                 reactor_threads: Some(1),
@@ -1320,7 +1300,6 @@ mod tests {
             Arc::new(|| Box::new(BinaryParser::new()) as Box<dyn ProtocolParser>),
             handler,
             ServerOptions {
-                transport: Some(TransportKind::Reactor),
                 reactor_threads: Some(1),
                 ..ServerOptions::default()
             },
@@ -1380,7 +1359,6 @@ mod tests {
             Arc::new(|| Box::new(BinaryParser::new()) as Box<dyn ProtocolParser>),
             handler,
             ServerOptions {
-                transport: Some(TransportKind::Reactor),
                 reactor_threads: Some(1),
                 ..ServerOptions::default()
             },

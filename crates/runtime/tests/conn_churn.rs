@@ -1,18 +1,18 @@
-//! Connection-churn leak tests for both edge transports.
+//! Connection-churn leak tests for the TCP edge.
 //!
 //! A long-lived KV edge sees clients come and go forever; any per-
 //! connection resource that outlives its connection — a file descriptor,
 //! a handler thread, a slab slot — is a slow death. These tests churn
-//! ~1000 connections through each transport and assert, via
+//! ~1000 connections through the server and assert, via
 //! `/proc/self/fd` and `/proc/self/status`, that the process ends with
 //! as many descriptors and threads as it started with (modulo a small
-//! tolerance for the transport's own steady-state machinery).
+//! tolerance for the reactor's own steady-state machinery).
 
 #![cfg(target_os = "linux")]
 
 use bespokv_proto::client::{Op, Request, RespBody, Response};
 use bespokv_proto::parser::{BinaryParser, ProtocolParser};
-use bespokv_runtime::tcp::{ServerOptions, TcpClient, TcpServer, TransportKind};
+use bespokv_runtime::tcp::{ServerOptions, TcpClient, TcpServer};
 use bespokv_types::{ClientId, Key, KvError, RequestId, Value, VersionedValue};
 
 use std::collections::HashMap;
@@ -83,7 +83,7 @@ fn churn(addr: std::net::SocketAddr, total: u32, wave: u32) {
 }
 
 /// Polls until the leak-sensitive gauges return to baseline; churn
-/// teardown is asynchronous (conn threads exiting, reactor reaping EOFs),
+/// teardown is asynchronous (the reactor reaps EOFs on its own turns),
 /// so a single post-churn sample would be racy.
 fn settles(baseline_fds: usize, baseline_threads: usize, slack_fds: usize) -> bool {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -96,22 +96,22 @@ fn settles(baseline_fds: usize, baseline_threads: usize, slack_fds: usize) -> bo
     false
 }
 
-fn churn_transport(kind: TransportKind) {
+#[test]
+fn reactor_edge_survives_connection_churn_without_leaks() {
     let server = TcpServer::bind_with(
         "127.0.0.1:0",
         parser_factory(),
         kv_handler(),
         ServerOptions {
             max_connections: Some(2048),
-            transport: Some(kind),
             ..ServerOptions::default()
         },
     )
     .unwrap();
     let addr = server.local_addr();
 
-    // Warm the transport to steady state (pool threads spawned, reactor
-    // slabs touched) before taking the baseline.
+    // Warm the reactor to steady state (slabs touched) before taking the
+    // baseline.
     churn(addr, 8, 8);
     std::thread::sleep(std::time::Duration::from_millis(200));
     let baseline_fds = open_fds();
@@ -121,7 +121,7 @@ fn churn_transport(kind: TransportKind) {
 
     assert!(
         settles(baseline_fds, baseline_threads, 4),
-        "leak after 1000-conn churn on {kind:?}: fds {} -> {}, threads {} -> {}",
+        "leak after 1000-conn churn: fds {} -> {}, threads {} -> {}",
         baseline_fds,
         open_fds(),
         baseline_threads,
@@ -135,16 +135,6 @@ fn churn_transport(kind: TransportKind) {
         stats.connections_accepted
     );
     drop(server);
-}
-
-#[test]
-fn blocking_edge_survives_connection_churn_without_leaks() {
-    churn_transport(TransportKind::Blocking);
-}
-
-#[test]
-fn reactor_edge_survives_connection_churn_without_leaks() {
-    churn_transport(TransportKind::Reactor);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,7 +202,8 @@ fn read_response(s: &mut std::net::TcpStream) -> Response {
 /// rate and — the gray-failure tentpole property — the server blocks zero
 /// additional threads on them. When the upstream finally answers, every
 /// parked connection gets its reply.
-fn parked_relays_block_no_threads(kind: TransportKind) {
+#[test]
+fn reactor_edge_parks_relays_without_blocking_any_thread() {
     let parked: Arc<Mutex<Vec<Completer>>> = Arc::new(Mutex::new(Vec::new()));
     let server = TcpServer::bind_deferred(
         "127.0.0.1:0",
@@ -220,17 +211,13 @@ fn parked_relays_block_no_threads(kind: TransportKind) {
         wedged_handler(Arc::clone(&parked)),
         ServerOptions {
             max_connections: Some(512),
-            transport: Some(kind),
             ..ServerOptions::default()
         },
     )
     .unwrap();
     let addr = server.local_addr();
 
-    // Warm to steady state, then baseline. The blocking transport spawns a
-    // thread per live connection by design, so the zero-extra-threads
-    // assertion is the reactor's; for blocking we still require healthy
-    // traffic to flow and every parked reply to arrive.
+    // Warm to steady state, then baseline.
     churn(addr, 8, 8);
     std::thread::sleep(std::time::Duration::from_millis(200));
     let baseline_threads = thread_count();
@@ -262,13 +249,11 @@ fn parked_relays_block_no_threads(kind: TransportKind) {
         t0.elapsed()
     );
 
-    if kind == TransportKind::Reactor {
-        let now = thread_count();
-        assert!(
-            now <= baseline_threads,
-            "reactor blocked threads on parked relays: {baseline_threads} -> {now}"
-        );
-    }
+    let now = thread_count();
+    assert!(
+        now <= baseline_threads,
+        "reactor blocked threads on parked relays: {baseline_threads} -> {now}"
+    );
 
     // The wedged upstream recovers: complete every parked relay and
     // assert each held connection receives its own reply.
@@ -288,14 +273,4 @@ fn parked_relays_block_no_threads(kind: TransportKind) {
         assert!(resp.result.is_ok());
     }
     drop(server);
-}
-
-#[test]
-fn blocking_edge_parked_relays_leave_healthy_traffic_at_full_rate() {
-    parked_relays_block_no_threads(TransportKind::Blocking);
-}
-
-#[test]
-fn reactor_edge_parks_relays_without_blocking_any_thread() {
-    parked_relays_block_no_threads(TransportKind::Reactor);
 }

@@ -22,23 +22,18 @@ pub struct OverloadConfig {
     /// Live runtime: client messages queued per actor mailbox beyond this
     /// are shed at enqueue time (replication/control traffic is exempt).
     pub mailbox_cap: usize,
-    /// TCP edge: in-flight pipelined requests per connection beyond this
-    /// are handled per transport. The blocking edge answers `Overloaded`
-    /// in arrival order; the reactor edge re-expresses the cap as
+    /// TCP edge: a per-connection fairness budget, expressed as
     /// *backpressure* — at most this many requests are decoded and served
     /// per connection per reactor turn, and surplus input waits in the
     /// socket buffer (TCP pushes back on the sender; nothing mid-stream
     /// is shed).
     pub pipeline_cap: usize,
-    /// TCP edge: concurrent connections per server. The blocking edge
-    /// refuses further accepts by dropping the stream (a flood cannot
-    /// spawn unbounded handler threads); the reactor edge bounds its
+    /// TCP edge: concurrent connections per server. The edge bounds its
     /// connection slab and answers the over-cap connection's first
     /// request batch with an explicit `Overloaded` before closing.
     pub max_connections: usize,
-    /// TCP reactor edge: reactor threads per server, each owning an
-    /// acceptor and a slab of connections. `0` sizes to the machine
-    /// (`min(cores, 4)`). Ignored by the blocking edge.
+    /// TCP edge: reactor threads per server, each owning an acceptor and
+    /// a slab of connections. `0` sizes to the machine (`min(cores, 4)`).
     pub reactor_threads: usize,
     /// Edge relay: requests parked awaiting a controlet reply per
     /// `NodeEdge` beyond this are shed before entering the mailbox.
@@ -100,10 +95,6 @@ pub struct OverloadCounters {
     pub queue_shed: AtomicU64,
     /// Live runtime: client messages shed at a full actor mailbox.
     pub mailbox_shed: AtomicU64,
-    /// TCP edge: requests shed at a full per-connection pipeline.
-    pub pipeline_shed: AtomicU64,
-    /// TCP edge: requests shed at a full worker pool.
-    pub pool_shed: AtomicU64,
     /// Edge relay: requests shed at a full pending-reply table.
     pub relay_shed: AtomicU64,
     /// Edge relay: parked relays expired with `Timeout` by the deadline
@@ -142,8 +133,6 @@ pub struct OverloadCounters {
 pub struct OverloadSnapshot {
     pub queue_shed: u64,
     pub mailbox_shed: u64,
-    pub pipeline_shed: u64,
-    pub pool_shed: u64,
     pub relay_shed: u64,
     pub relay_expired: u64,
     pub stall_trips: u64,
@@ -169,8 +158,6 @@ impl OverloadCounters {
         OverloadSnapshot {
             queue_shed: self.queue_shed.load(Ordering::Relaxed),
             mailbox_shed: self.mailbox_shed.load(Ordering::Relaxed),
-            pipeline_shed: self.pipeline_shed.load(Ordering::Relaxed),
-            pool_shed: self.pool_shed.load(Ordering::Relaxed),
             relay_shed: self.relay_shed.load(Ordering::Relaxed),
             relay_expired: self.relay_expired.load(Ordering::Relaxed),
             stall_trips: self.stall_trips.load(Ordering::Relaxed),
@@ -194,8 +181,6 @@ impl OverloadSnapshot {
     pub fn total_shed(&self) -> u64 {
         self.queue_shed
             + self.mailbox_shed
-            + self.pipeline_shed
-            + self.pool_shed
             + self.relay_shed
             + self.deadline_expired
             + self.head_window_shed
@@ -206,15 +191,13 @@ impl std::fmt::Display for OverloadSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "shed: {} queue, {} mailbox, {} pipeline, {} pool, {} relay, \
+            "shed: {} queue, {} mailbox, {} relay, \
              {} expired, {} head-window; containment: {} trims, {} resyncs; \
              gray: {} relay-expired, {} stall trips, {} fast-fails, \
              {} redispatches; client: {} breaker trips, {} retries denied; \
              recovery: {} entries transferred",
             self.queue_shed,
             self.mailbox_shed,
-            self.pipeline_shed,
-            self.pool_shed,
             self.relay_shed,
             self.deadline_expired,
             self.head_window_shed,
@@ -238,13 +221,13 @@ mod tests {
     #[test]
     fn counters_snapshot_and_sum() {
         let c = OverloadCounters::new();
-        c.pipeline_shed.fetch_add(3, Ordering::Relaxed);
+        c.relay_shed.fetch_add(3, Ordering::Relaxed);
         c.deadline_expired.fetch_add(2, Ordering::Relaxed);
         c.slow_slave_trims.fetch_add(1, Ordering::Relaxed);
         let s = c.snapshot();
-        assert_eq!(s.pipeline_shed, 3);
+        assert_eq!(s.relay_shed, 3);
         assert_eq!(s.total_shed(), 5, "containment events are not sheds");
-        assert!(s.to_string().contains("3 pipeline"));
+        assert!(s.to_string().contains("3 relay"));
     }
 
     #[test]

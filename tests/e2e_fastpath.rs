@@ -2,44 +2,19 @@
 //! real threads, real TCP edges, real failover. The simulator oracle
 //! proves the fast path consistent under seeded fault schedules; these
 //! tests prove the *deployment-shaped* wiring — `NodeEdge` handlers on
-//! TCP worker threads, gate closure on kill, epoch bumps on repair —
+//! the TCP reactor threads, gate closure on kill, epoch bumps on repair —
 //! behaves the same under true parallelism and wall-clock time.
 
-use bespokv_suite::cluster::{ClusterSpec, LiveCluster, NodeEdge};
+use bespokv_suite::cluster::{ClusterSpec, LiveCluster};
 use bespokv_suite::coordinator::CoordConfig;
 use bespokv_suite::proto::client::{Op, Request, RespBody};
-use bespokv_suite::proto::parser::{BinaryParser, ProtocolParser};
-use bespokv_suite::runtime::tcp::{ServerOptions, TcpClient, TcpServer};
+use bespokv_suite::proto::parser::BinaryParser;
+use bespokv_suite::runtime::tcp::TcpClient;
 use bespokv_suite::types::{
     ClientId, ConsistencyLevel, Duration, Key, KvError, Mode, NodeId, RequestId, Value,
 };
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
-
-fn parser_factory() -> Arc<bespokv_suite::runtime::tcp::ParserFactory> {
-    Arc::new(|| Box::new(BinaryParser::new()) as Box<dyn ProtocolParser>)
-}
-
-fn edge_server(cluster: &mut LiveCluster, node: u32, fast_path: bool) -> (NodeEdge, TcpServer) {
-    let table = Arc::clone(cluster.fast_path().expect("fast path enabled"));
-    let edge = NodeEdge::new(
-        NodeId(node),
-        table,
-        cluster.rt.register_mailbox(),
-        fast_path,
-    );
-    let server = TcpServer::bind_with(
-        "127.0.0.1:0",
-        parser_factory(),
-        edge.handler(),
-        ServerOptions {
-            worker_threads: Some(4),
-            ..ServerOptions::default()
-        },
-    )
-    .unwrap();
-    (edge, server)
-}
 
 fn req(seq: u32, op: Op) -> Request {
     Request::new(RequestId::compose(ClientId(7000), seq), op)
@@ -59,14 +34,14 @@ fn get_op(key: &str) -> Op {
 }
 
 /// Writes enter at the head and relay through the actor; GETs at the tail
-/// are served by TCP worker threads straight from the shared datalet, and
-/// read their own writes.
+/// are served by the TCP reactor threads straight from the shared datalet,
+/// and read their own writes.
 #[test]
 fn live_edge_serves_reads_from_shared_datalet() {
     let mut cluster = LiveCluster::build(ClusterSpec::new(1, 3, Mode::MS_SC).with_fast_path());
     let table = Arc::clone(cluster.fast_path().unwrap());
-    let (_head_edge, head_srv) = edge_server(&mut cluster, 0, false);
-    let (_tail_edge, tail_srv) = edge_server(&mut cluster, 2, true);
+    let (_head_edge, head_srv) = cluster.tcp_edge(NodeId(0), false);
+    let (_tail_edge, tail_srv) = cluster.tcp_edge(NodeId(2), true);
     let mut head = TcpClient::connect(head_srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
     let mut tail = TcpClient::connect(tail_srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
 
@@ -90,7 +65,7 @@ fn live_edge_serves_reads_from_shared_datalet() {
     cluster.rt.shutdown();
 }
 
-/// Killing the tail slams its gate shut: edge workers stop serving for it
+/// Killing the tail slams its gate shut: edge threads stop serving for it
 /// instantly (no stale reads on behalf of a dead node), and once the
 /// coordinator repairs the chain, the survivors republish at a higher
 /// epoch and the fast path reopens on the new chain.
@@ -106,9 +81,9 @@ fn live_kill_closes_gate_and_repair_bumps_epoch() {
             .with_fast_path(),
     );
     let table = Arc::clone(cluster.fast_path().unwrap());
-    let (_head_edge, head_srv) = edge_server(&mut cluster, 0, false);
-    let (_tail_edge, tail_srv) = edge_server(&mut cluster, 2, true);
-    let (_mid_edge, mid_srv) = edge_server(&mut cluster, 1, true);
+    let (_head_edge, head_srv) = cluster.tcp_edge(NodeId(0), false);
+    let (_tail_edge, tail_srv) = cluster.tcp_edge(NodeId(2), true);
+    let (_mid_edge, mid_srv) = cluster.tcp_edge(NodeId(1), true);
     let mut head = TcpClient::connect(head_srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
     let mut tail = TcpClient::connect(tail_srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
     let mut mid = TcpClient::connect(mid_srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
@@ -157,7 +132,7 @@ fn live_kill_closes_gate_and_repair_bumps_epoch() {
     }
     // Post-repair the old mid is a clean-read replica on the new chain;
     // with no writes in flight its keys are clean, so a strong read is
-    // served on the worker thread from the shared datalet.
+    // served on the reactor thread from the shared datalet.
     let hits_before = table.total_hits();
     let mut r = Request::new(RequestId::compose(ClientId(7000), 60), get_op("k3"));
     r.level = ConsistencyLevel::Strong;

@@ -1,46 +1,21 @@
 //! Live-runtime end-to-end tests of the flat-combining write path: real
 //! threads, real TCP edges, real failover. The simulator oracle proves
 //! combined writes consistent under seeded fault schedules; these tests
-//! prove the deployment-shaped wiring — TCP worker threads publishing
+//! prove the deployment-shaped wiring — TCP reactor threads publishing
 //! into the op log, one combiner applying batches, the actor replying
 //! after replication, gates slamming shut on kill — behaves the same
 //! under true parallelism and wall-clock time.
 
-use bespokv_suite::cluster::{ClusterSpec, EdgeStats, LiveCluster, NodeEdge};
+use bespokv_suite::cluster::{ClusterSpec, EdgeStats, LiveCluster};
 use bespokv_suite::coordinator::CoordConfig;
 use bespokv_suite::proto::client::{Op, RespBody, Request};
-use bespokv_suite::proto::parser::{BinaryParser, ProtocolParser};
-use bespokv_suite::runtime::tcp::{ServerOptions, TcpClient, TcpServer};
+use bespokv_suite::proto::parser::BinaryParser;
+use bespokv_suite::runtime::tcp::TcpClient;
 use bespokv_suite::types::{
     ClientId, ConsistencyLevel, Duration, Key, Mode, NodeId, RequestId, Value,
 };
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
-
-fn parser_factory() -> Arc<bespokv_suite::runtime::tcp::ParserFactory> {
-    Arc::new(|| Box::new(BinaryParser::new()) as Box<dyn ProtocolParser>)
-}
-
-fn edge_server(
-    cluster: &mut LiveCluster,
-    node: u32,
-    combine: bool,
-) -> (NodeEdge, TcpServer) {
-    let table = Arc::clone(cluster.fast_path().expect("combine table built"));
-    let edge = NodeEdge::new(NodeId(node), table, cluster.rt.register_mailbox(), false)
-        .with_write_combine(combine);
-    let server = TcpServer::bind_with(
-        "127.0.0.1:0",
-        parser_factory(),
-        edge.handler(),
-        ServerOptions {
-            worker_threads: Some(4),
-            ..ServerOptions::default()
-        },
-    )
-    .unwrap();
-    (edge, server)
-}
 
 fn req(seq: u32, op: Op) -> Request {
     Request::new(RequestId::compose(ClientId(7100), seq), op)
@@ -67,15 +42,15 @@ fn live_edge_combines_writes_and_exports_counters() {
     let mut cluster =
         LiveCluster::build(ClusterSpec::new(1, 3, Mode::MS_SC).with_write_combine());
     let table = Arc::clone(cluster.fast_path().unwrap());
-    let (_head_edge, head_srv) = edge_server(&mut cluster, 0, true);
-    let (_tail_edge, tail_srv) = edge_server(&mut cluster, 2, false);
+    let (_head_edge, head_srv) = cluster.tcp_edge(NodeId(0), false);
+    let (_tail_edge, tail_srv) = cluster.tcp_edge(NodeId(2), false);
     let mut head =
         TcpClient::connect(head_srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
     let mut tail =
         TcpClient::connect(tail_srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
 
-    // Deep pipelining so multiple worker threads hold ops in the log at
-    // once and the combiner actually batches.
+    // Deep pipelining: the whole batch is in the op log before the first
+    // ack comes back.
     let reqs: Vec<Request> = (0..64u32)
         .map(|i| req(i, put_op(&format!("k{i}"), &format!("v{i}"))))
         .collect();
@@ -116,7 +91,7 @@ fn live_edge_combines_writes_and_exports_counters() {
 }
 
 /// Killing the head (the write ingress) slams its write gate shut: edge
-/// workers stop publishing into the dead node's op log instantly, and
+/// threads stop publishing into the dead node's op log instantly, and
 /// every write acked before the kill survives onto the repaired chain.
 #[test]
 fn live_kill_head_closes_write_gate_and_keeps_acked_writes() {
@@ -130,8 +105,8 @@ fn live_kill_head_closes_write_gate_and_keeps_acked_writes() {
             .with_write_combine(),
     );
     let table = Arc::clone(cluster.fast_path().unwrap());
-    let (_head_edge, head_srv) = edge_server(&mut cluster, 0, true);
-    let (_tail_edge, tail_srv) = edge_server(&mut cluster, 2, false);
+    let (_head_edge, head_srv) = cluster.tcp_edge(NodeId(0), false);
+    let (_tail_edge, tail_srv) = cluster.tcp_edge(NodeId(2), false);
     let mut head =
         TcpClient::connect(head_srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
     let mut tail =
@@ -148,7 +123,7 @@ fn live_kill_head_closes_write_gate_and_keeps_acked_writes() {
     let tail_epoch_before = tail_gate.epoch();
 
     cluster.kill_node(NodeId(0));
-    // The write gate the edge workers share with the dead controlet is
+    // The write gate the edge threads share with the dead controlet is
     // closed and the handle deregistered: a racing submit fails the gate
     // check and falls back to the relay, which can only time out — an
     // unacked write is never silently absorbed by a corpse's op log.
