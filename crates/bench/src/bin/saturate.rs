@@ -2,10 +2,11 @@
 //! offered load past capacity.
 //!
 //! Stands up a real `LiveCluster` (MS+SC, one chain of three) with the
-//! full overload-protection stack armed — per-turn pipeline budget,
-//! bounded edge relay table, actor mailbox caps, deadline rejection —
-//! then drives the *write* path (every PUT takes the single-threaded
-//! controlet actor) in three phases:
+//! overload-protection stack at tight limits — per-turn pipeline budget,
+//! bounded head in-flight window and edge relay table, actor mailbox
+//! caps, deadline rejection — then drives the *write* path (every PUT
+//! enters the head's combiner, and its chain replication runs on the
+//! single-threaded controlet actor) in three phases:
 //!
 //! 1. **peak**: moderate closed-loop load that fits capacity, to measure
 //!    the achievable goodput baseline;
@@ -34,9 +35,11 @@ const KEYS: u32 = 2048;
 const MEASURE_MS: u64 = 800;
 /// Requests served per connection per reactor turn (fairness, not shed).
 const PIPELINE_CAP: usize = 32;
-/// Requests parked on the controlet at once; the shed point. The peak
-/// phase's 2 x 16 in flight fit, the overload phase's 4 x 128 do not.
-const RELAY_CAP: usize = 64;
+/// Writes in flight at the head at once; the shed point. It bounds both
+/// the write combiner's chain window (`head_window`) and the relay table
+/// behind it (`relay_cap`). The peak phase's 2 x 16 in flight fit, the
+/// overload phase's 4 x 128 do not.
+const IN_FLIGHT_CAP: usize = 64;
 
 fn key(i: u32) -> Key {
     Key::from(format!("user{i:012}"))
@@ -159,20 +162,17 @@ fn percentile(sorted: &[f64], p: usize) -> f64 {
 fn main() {
     let ocfg = OverloadConfig {
         pipeline_cap: PIPELINE_CAP,
-        relay_cap: RELAY_CAP,
+        relay_cap: IN_FLIGHT_CAP,
+        head_window: IN_FLIGHT_CAP,
         ..OverloadConfig::default()
     };
-    let mut cluster = LiveCluster::build(
-        ClusterSpec::new(1, 3, Mode::MS_SC)
-            .with_fast_path()
-            .with_overload(ocfg),
-    );
+    let mut cluster = LiveCluster::build(ClusterSpec::new(1, 3, Mode::MS_SC).with_overload(ocfg));
     let counters = cluster.overload_counters();
     // Deadlines are stamped against the clock the edge checks them with.
     let clock = cluster.rt.clock();
 
-    // Fast path off at this edge: every request takes the actor, which is
-    // the resource being saturated.
+    // The head is the write ingress: every PUT is combined there and
+    // replicated by its actor, which is the resource being saturated.
     let (head_edge, server) = cluster.tcp_edge(NodeId(0), false);
     let addr = server.local_addr();
     let seq = AtomicU32::new(0);

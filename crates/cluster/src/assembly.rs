@@ -20,6 +20,8 @@
 
 use crate::builder::{cost_for, ClusterSpec};
 use crate::edge::{FastPathHandle, FastPathTable};
+use crate::script::{ScriptClient, Step};
+use bespokv::client::ClientCore;
 use bespokv::controlet::{Controlet, ControletConfig};
 use bespokv_coordinator::CoordinatorActor;
 use bespokv_datalet::{CrashDevice, Datalet, EngineKind, MemDevice};
@@ -62,12 +64,8 @@ impl Wiring<'_> {
         cfg.prop_flush_every = spec.prop_flush_every;
         cfg.log_poll_every = spec.log_poll_every;
         cfg.recorder = self.recorder.clone();
-        // Counters are shared unconditionally so harnesses can read
-        // recovery telemetry without arming overload protection.
         cfg.counters = Arc::clone(self.counters);
-        if let Some(o) = spec.overload {
-            cfg.overload = o;
-        }
+        cfg.overload = spec.overload;
         cfg
     }
 }
@@ -79,7 +77,6 @@ pub(crate) fn fast_path_handle(
     datalet: &Arc<dyn Datalet>,
     shard: ShardId,
     default_level: Consistency,
-    write_combine: bool,
 ) -> FastPathHandle {
     FastPathHandle {
         gate: controlet.serving_gate(),
@@ -87,8 +84,31 @@ pub(crate) fn fast_path_handle(
         datalet: Arc::clone(datalet),
         shard,
         default_level,
-        writes: write_combine.then(|| controlet.oplog()),
+        writes: controlet.oplog(),
     }
+}
+
+/// A scripted client of either runtime: `core` plus the cluster's history
+/// recorder, overload budget and hot-read spreading, over the shared
+/// fast-path table.
+pub(crate) fn script_client(
+    spec: &ClusterSpec,
+    mut core: ClientCore,
+    recorder: &Option<HistoryRecorder>,
+    counters: &Arc<OverloadCounters>,
+    table: &Arc<FastPathTable>,
+    script: Vec<Step>,
+) -> ScriptClient {
+    if let Some(rec) = recorder {
+        core = core.with_history(rec.clone());
+    }
+    // The client half of the skew engine reports into the same counter
+    // set as the edge half, so harness assertions see both routing and
+    // caching decisions in one snapshot.
+    let core = core
+        .with_overload(spec.overload, Arc::clone(counters))
+        .with_skew(spec.skew, table.skew().counters());
+    ScriptClient::new(core, script, Arc::clone(table))
 }
 
 /// What [`assemble`] built, for the cluster handle of either runtime.
@@ -106,7 +126,7 @@ pub(crate) struct Assembled {
     /// Datalets, indexed like `controlets`, standbys at the end.
     pub datalets: Vec<Arc<dyn Datalet>>,
     pub recorder: Option<HistoryRecorder>,
-    pub fast_path: Option<Arc<FastPathTable>>,
+    pub fast_path: Arc<FastPathTable>,
     pub overload_counters: Arc<OverloadCounters>,
     /// Per-node crash devices (durability specs only).
     pub crash_devices: HashMap<NodeId, Arc<CrashDevice>>,
@@ -138,13 +158,7 @@ pub(crate) fn assemble(
         .map(|s| Addr(coordinator.0 + 2 + s))
         .collect();
     let recorder = spec.history.then(HistoryRecorder::new);
-    let fast_path = (spec.fast_path || spec.write_combine).then(|| {
-        let mut t = FastPathTable::new(map.clone());
-        if let Some(cfg) = spec.skew {
-            t = t.with_skew(cfg);
-        }
-        Arc::new(t)
-    });
+    let fast_path = Arc::new(FastPathTable::new(map.clone(), spec.skew));
     let overload_counters = Arc::new(OverloadCounters::new());
     let wiring = Wiring {
         spec,
@@ -175,18 +189,10 @@ pub(crate) fn assemble(
             cfg.p2p_forwarding = spec.p2p;
             let controlet = Controlet::with_info(cfg, Arc::clone(&datalet), info.clone())
                 .with_cluster_map(map.clone());
-            if let Some(t) = &fast_path {
-                t.register(
-                    node,
-                    fast_path_handle(
-                        &controlet,
-                        &datalet,
-                        ShardId(shard),
-                        info.mode.consistency,
-                        spec.write_combine,
-                    ),
-                );
-            }
+            fast_path.register(
+                node,
+                fast_path_handle(&controlet, &datalet, ShardId(shard), info.mode.consistency),
+            );
             let addr = spawn(Box::new(controlet));
             assert_eq!(addr.0, node.raw(), "address/NodeId convention broken");
             controlets.push(addr);

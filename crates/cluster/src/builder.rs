@@ -7,7 +7,7 @@
 //! it under virtual time with a network model and closed-loop workload
 //! clients.
 
-use crate::assembly::{assemble, fast_path_handle, Assembled, Wiring};
+use crate::assembly::{assemble, fast_path_handle, script_client, Assembled, Wiring};
 use crate::client_actor::{OpSource, WorkloadClient};
 use bespokv::client::ClientCore;
 use bespokv::controlet::{Controlet, RecoveredLocal};
@@ -72,33 +72,22 @@ pub struct ClusterSpec {
     /// every client and controlet so the consistency oracle can audit the
     /// run (see `bespokv-checker`).
     pub history: bool,
-    /// When true, a [`crate::edge::FastPathTable`] is built and attached
-    /// to every scripted client: GETs are served straight from the shared
-    /// datalets whenever the target node's serving gate permits, only
-    /// falling back to the controlet actor loop otherwise.
-    pub fast_path: bool,
-    /// When true, every controlet's write combiner (per-datalet op log) is
-    /// exposed through the [`crate::edge::FastPathTable`]: scripted
-    /// clients publish PUT/DELs straight into the target node's op log
-    /// whenever its write gate permits, and the controlet applies them in
-    /// combined batches.
-    pub write_combine: bool,
-    /// When set, the overload-protection layer is armed end to end: the
-    /// runtime's bounded queues, every controlet's shed points, and every
-    /// client's deadline/retry budget share this config and one
+    /// Overload-protection knobs, shared end to end: the runtime's bounded
+    /// queues, every controlet's shed points, every edge's relay table and
+    /// every client's deadline/retry budget, all reporting into one
     /// [`OverloadCounters`] set (see `SimCluster::overload_counters`).
-    pub overload: Option<OverloadConfig>,
+    pub overload: OverloadConfig,
     /// When set, every replica runs a *durable* engine (tLog or tLSM) over
     /// a seeded [`CrashDevice`], `kill_node` simulates a power cut on the
     /// node's device, and [`SimCluster::restart_from_disk`] brings a dead
     /// node back by replaying its surviving log before delta-syncing from
     /// the chain.
     pub durability: Option<DurabilityConfig>,
-    /// When set, the skew engine is armed end to end: the fast-path table
-    /// runs a hot-key sketch plus the validating edge cache, and every
-    /// client spreads strong reads for detected heavy hitters across all
-    /// clean replicas (see `bespokv_types::skew` and DESIGN.md §15).
-    pub skew: Option<SkewConfig>,
+    /// Skew-engine knobs: the fast-path table's hot-key sketch and
+    /// validating edge cache, and every scripted client's spreading of
+    /// strong reads for heavy hitters across clean replicas (see
+    /// `bespokv_types::skew` and DESIGN.md §15).
+    pub skew: SkewConfig,
 }
 
 /// Disk-backed deployment knobs (see [`ClusterSpec::with_durability`]).
@@ -155,7 +144,10 @@ impl DurabilityConfig {
 }
 
 impl ClusterSpec {
-    /// A sane baseline: `shards x replication` nodes of `tHT` in `mode`.
+    /// A sane baseline: `shards x replication` nodes of `tHT` in `mode`,
+    /// served the one way every cluster is (DESIGN.md §10): read fast
+    /// path, write combiner, skew engine and overload bounds, each at its
+    /// default config. The mode's gates decide where each one engages.
     pub fn new(shards: u32, replication: u32, mode: Mode) -> Self {
         ClusterSpec {
             shards,
@@ -175,11 +167,9 @@ impl ClusterSpec {
             faults: None,
             stalls: None,
             history: false,
-            fast_path: false,
-            write_combine: false,
-            overload: None,
+            overload: OverloadConfig::default(),
             durability: None,
-            skew: None,
+            skew: SkewConfig::default(),
         }
     }
 
@@ -205,30 +195,21 @@ impl ClusterSpec {
         self
     }
 
-    /// Enables the shared-datalet read fast path for scripted clients.
-    pub fn with_fast_path(mut self) -> Self {
-        self.fast_path = true;
+    /// No-op: every cluster combines writes. Kept so existing callers
+    /// (the frozen `spine` benchmark) still compile.
+    pub fn with_write_combine(self) -> Self {
         self
     }
 
-    /// Enables the flat-combining write path for scripted clients.
-    pub fn with_write_combine(mut self) -> Self {
-        self.write_combine = true;
-        self
-    }
-
-    /// Arms the end-to-end overload-protection layer with `cfg`.
+    /// Replaces the overload-protection knobs (tests use tight values).
     pub fn with_overload(mut self, cfg: OverloadConfig) -> Self {
-        self.overload = Some(cfg);
+        self.overload = cfg;
         self
     }
 
-    /// Arms the skew engine (hot-key sketch, validating edge cache, and
-    /// hot-key read spreading) with `cfg`. Implies the read fast path:
-    /// the cache and sketch live inside the fast-path table.
+    /// Replaces the skew-engine knobs (tests use a low hot threshold).
     pub fn with_skew(mut self, cfg: SkewConfig) -> Self {
-        self.skew = Some(cfg);
-        self.fast_path = true;
+        self.skew = cfg;
         self
     }
 
@@ -291,13 +272,13 @@ impl ClusterSpec {
     /// so live edges inherit the cluster's connection cap, pipeline cap,
     /// and reactor sizing instead of restating them.
     pub fn edge_server_options(&self) -> bespokv_runtime::tcp::ServerOptions {
-        let mut opts = bespokv_runtime::tcp::ServerOptions::default();
-        if let Some(o) = self.overload {
-            opts.max_connections = Some(o.max_connections);
-            opts.pipeline_cap = Some(o.pipeline_cap);
-            opts.reactor_threads = (o.reactor_threads > 0).then_some(o.reactor_threads);
+        let o = &self.overload;
+        bespokv_runtime::tcp::ServerOptions {
+            max_connections: Some(o.max_connections),
+            pipeline_cap: Some(o.pipeline_cap),
+            reactor_threads: (o.reactor_threads > 0).then_some(o.reactor_threads),
+            ..Default::default()
         }
-        opts
     }
 }
 
@@ -337,10 +318,9 @@ pub struct SimCluster {
     next_client_id: u32,
     /// Consistency-oracle recorder (present when the spec enabled history).
     recorder: Option<HistoryRecorder>,
-    /// Shared read fast path (present when the spec enabled it).
-    fast_path: Option<Arc<crate::edge::FastPathTable>>,
-    /// Cluster-wide overload counters (meaningful when the spec armed
-    /// overload protection; zeroes otherwise).
+    /// Shared fast-path table (read fast path, write combiner, skew engine).
+    fast_path: Arc<crate::edge::FastPathTable>,
+    /// Cluster-wide overload counters.
     overload_counters: Arc<OverloadCounters>,
     /// Datalet per node id — unlike `datalets` (indexed by original node
     /// order), this also covers transition controlets with high node ids.
@@ -363,9 +343,7 @@ impl SimCluster {
             net = net.with_stalls(plan.clone());
         }
         let mut sim = Simulation::new(net);
-        if let Some(o) = spec.overload {
-            sim.set_max_queue_delay(o.max_queue_delay);
-        }
+        sim.set_max_queue_delay(spec.overload.max_queue_delay);
         let Assembled {
             map,
             controlets,
@@ -435,23 +413,20 @@ impl SimCluster {
         }
     }
 
-    /// Skew-engine counter snapshot (zeroes unless the spec armed skew).
+    /// Skew-engine counter snapshot.
     pub fn skew_snapshot(&self) -> bespokv_types::SkewSnapshot {
-        self.fast_path
-            .as_ref()
-            .map(|t| t.skew_snapshot())
-            .unwrap_or_default()
+        self.fast_path.skew_snapshot()
     }
 
-    /// The cluster-wide overload counters (zeroes unless the spec armed
-    /// overload protection).
+    /// The cluster-wide overload counters.
     pub fn overload_counters(&self) -> Arc<OverloadCounters> {
         Arc::clone(&self.overload_counters)
     }
 
-    /// The shared read fast-path table, when the spec enabled it.
+    /// The shared fast-path table. Always `Some` (every cluster is
+    /// assembled with one); the `Option` matches `LiveCluster::fast_path`.
     pub fn fast_path(&self) -> Option<&Arc<crate::edge::FastPathTable>> {
-        self.fast_path.as_ref()
+        Some(&self.fast_path)
     }
 
     /// The consistency-oracle recorder, when the spec enabled history.
@@ -561,9 +536,7 @@ impl SimCluster {
         if let Some(rec) = &self.recorder {
             core = core.with_history(rec.clone());
         }
-        if let Some(o) = self.spec.overload {
-            core = core.with_overload(o, Arc::clone(&self.overload_counters));
-        }
+        let core = core.with_overload(self.spec.overload, Arc::clone(&self.overload_counters));
         let client = WorkloadClient::new(core, source, concurrency, warmup, timeline_bucket);
         let addr = self.sim.add_actor(Box::new(client));
         self.clients.push(addr);
@@ -587,36 +560,17 @@ impl SimCluster {
         self.next_client_id += 1;
         let mut core = ClientCore::new(id, self.coordinator)
             .with_request_timeout(Duration::from_millis(300));
-        if let Some(rec) = &self.recorder {
-            core = core.with_history(rec.clone());
-        }
         if stale {
             core = core.with_debug_stale_reads();
         }
-        if let Some(o) = self.spec.overload {
-            core = core.with_overload(o, Arc::clone(&self.overload_counters));
-        }
-        if let Some(cfg) = self.spec.skew {
-            // The client half of the skew engine reports into the same
-            // counter set as the edge half, so harness assertions see
-            // both routing and caching decisions in one snapshot.
-            let counters = self
-                .fast_path
-                .as_ref()
-                .and_then(|t| t.skew())
-                .map(|s| s.counters())
-                .unwrap_or_default();
-            core = core.with_skew(cfg, counters);
-        }
-        let mut client = crate::script::ScriptClient::new(core, script);
-        if let Some(t) = &self.fast_path {
-            if self.spec.fast_path {
-                client = client.with_fast_path(Arc::clone(t));
-            }
-            if self.spec.write_combine {
-                client = client.with_write_combine(Arc::clone(t));
-            }
-        }
+        let client = script_client(
+            &self.spec,
+            core,
+            &self.recorder,
+            &self.overload_counters,
+            &self.fast_path,
+            script,
+        );
         let addr = self.sim.add_actor(Box::new(client));
         self.clients_scripted.push(addr);
         addr
@@ -631,10 +585,8 @@ impl SimCluster {
         // Fail-stop means the fast path must stop serving this node's
         // datalet immediately; the dead controlet can no longer close its
         // own gate.
-        if let Some(t) = &self.fast_path {
-            t.close(node);
-            t.unregister(node);
-        }
+        self.fast_path.close(node);
+        self.fast_path.unregister(node);
         self.sim.kill(Addr(node.raw()));
         if let Some(dev) = self.crash_devices.get(&node) {
             dev.crash().expect("crash cut on an in-memory device");
@@ -766,18 +718,10 @@ impl SimCluster {
             // Register the replacement controlets with the fast path. Their
             // gates stay closed until they adopt the post-transition shard
             // info, so reads keep falling back to the actor until then.
-            if let Some(t) = &self.fast_path {
-                t.register(
-                    probe,
-                    fast_path_handle(
-                        &controlet,
-                        &datalet,
-                        shard,
-                        new_mode.consistency,
-                        self.spec.write_combine,
-                    ),
-                );
-            }
+            self.fast_path.register(
+                probe,
+                fast_path_handle(&controlet, &datalet, shard, new_mode.consistency),
+            );
             let addr = self.sim.add_actor(Box::new(controlet));
             assert_eq!(addr.0, probe.raw());
             self.datalet_by_node.insert(probe, Arc::clone(&datalet));

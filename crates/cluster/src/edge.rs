@@ -24,7 +24,7 @@
 //! that serves GETs on the reactor thread when permitted and relays the
 //! rest to the controlet actor through a [`Mailbox`].
 //!
-//! The optional **skew engine** ([`SkewState`]) rides on both halves.
+//! The **skew engine** ([`SkewState`]) rides on both halves.
 //! Every GET that reaches the fast path is recorded in a count-min
 //! sketch; keys its top-k table classifies as hot get (a) a small
 //! *validating cache* inside [`FastPathTable::try_get`] — a cached value
@@ -41,7 +41,7 @@ use bespokv_proto::client::{Op, RespBody, Request, Response};
 use bespokv_proto::{NetMsg, ReplMsg};
 use bespokv_runtime::{Addr, Completer, Defer, DeferHandler, Mailbox, Served};
 use bespokv_types::{
-    Consistency, ConsistencyLevel, Duration, Instant, Key, KeySketch, KvError, NodeId,
+    Consistency, ConsistencyLevel, Instant, Key, KeySketch, KvError, NodeId,
     OverloadConfig, OverloadCounters, RequestId, ShardId, ShardMap, SkewConfig, SkewCounters,
     SkewSnapshot,
 };
@@ -65,9 +65,8 @@ pub struct FastPathHandle {
     /// Captured at registration: controlets are replaced (not re-moded) on
     /// transition, so the handle's mode is fixed for its lifetime.
     pub default_level: Consistency,
-    /// The node's write-combining op log; `None` when write combining is
-    /// disabled (every write relays through the actor mailbox).
-    pub writes: Option<Arc<OpLog>>,
+    /// The node's write-combining op log.
+    pub writes: Arc<OpLog>,
 }
 
 /// One direct-mapped slot of the validating edge cache: the identity of
@@ -207,40 +206,30 @@ pub struct FastPathTable {
     /// telemetry is monotonic, a dead ingress's history must not vanish
     /// with its handle.
     retired: Mutex<CombinerSnapshot>,
-    /// Hot-key engine; `None` leaves every request on the plain paths.
-    skew: RwLock<Option<Arc<SkewState>>>,
+    /// Hot-key engine: sketch, validating cache and counters.
+    skew: SkewState,
 }
 
 impl FastPathTable {
-    /// An empty table over the deployment's partitioning.
-    pub fn new(map: ShardMap) -> Self {
+    /// An empty table over the deployment's partitioning, with a skew
+    /// engine sized by `skew`.
+    pub fn new(map: ShardMap, skew: SkewConfig) -> Self {
         FastPathTable {
             map,
             handles: RwLock::new(HashMap::new()),
             retired: Mutex::new(CombinerSnapshot::default()),
-            skew: RwLock::new(None),
+            skew: SkewState::new(skew),
         }
     }
 
-    /// Arms the skew engine (builder style).
-    pub fn with_skew(self, cfg: SkewConfig) -> Self {
-        self.set_skew(Some(Arc::new(SkewState::new(cfg))));
-        self
+    /// The skew engine.
+    pub fn skew(&self) -> &SkewState {
+        &self.skew
     }
 
-    /// Installs or removes the skew engine at runtime (bench toggling).
-    pub fn set_skew(&self, skew: Option<Arc<SkewState>>) {
-        *self.skew.write() = skew;
-    }
-
-    /// The current skew engine, if armed.
-    pub fn skew(&self) -> Option<Arc<SkewState>> {
-        self.skew.read().clone()
-    }
-
-    /// Skew-engine counter snapshot (zeroes when unarmed).
+    /// Skew-engine counter snapshot.
     pub fn skew_snapshot(&self) -> SkewSnapshot {
-        self.skew.read().as_ref().map(|s| s.snapshot()).unwrap_or_default()
+        self.skew.snapshot()
     }
 
     /// Registers (or replaces) the handle for a node.
@@ -252,9 +241,7 @@ impl FastPathTable {
     /// combiner counters into the retired aggregate.
     pub fn unregister(&self, node: NodeId) {
         if let Some(h) = self.handles.write().remove(&node) {
-            if let Some(w) = &h.writes {
-                self.retired.lock().absorb(&w.snapshot());
-            }
+            self.retired.lock().absorb(&h.writes.snapshot());
         }
     }
 
@@ -264,9 +251,7 @@ impl FastPathTable {
     pub fn close(&self, node: NodeId) {
         if let Some(h) = self.handles.read().get(&node) {
             h.gate.close();
-            if let Some(w) = &h.writes {
-                w.gate().close();
-            }
+            h.writes.gate().close();
         }
     }
 
@@ -340,9 +325,7 @@ impl FastPathTable {
     pub fn combiner_snapshot(&self) -> CombinerSnapshot {
         let mut total = *self.retired.lock();
         for h in self.handles.read().values() {
-            if let Some(w) = &h.writes {
-                total.absorb(&w.snapshot());
-            }
+            total.absorb(&h.writes.snapshot());
         }
         total
     }
@@ -363,20 +346,17 @@ impl FastPathTable {
         // Feed the live GET stream into the hot-key sketch. Hotness only
         // arms the validating cache below; cold keys take the exact
         // pre-skew path.
-        let skew = self.skew.read().clone();
-        let hot = skew.as_ref().is_some_and(|s| {
-            s.counters
-                .sketch_ops
+        let skew = &self.skew;
+        skew.counters
+            .sketch_ops
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        skew.sketch.record(key);
+        let hot = skew.sketch.is_hot(key);
+        if hot {
+            skew.counters
+                .hot_lookups
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            s.sketch.record(key);
-            let hot = s.sketch.is_hot(key);
-            if hot {
-                s.counters
-                    .hot_lookups
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            hot
-        });
+        }
         let token = h.gate.begin_read();
         let level = req.level.resolve(h.default_level);
         // Stripe write generation, sampled before the dirty probe and the
@@ -398,11 +378,9 @@ impl FastPathTable {
                 // the datalet read is a single concurrent-map lookup
                 // anyway — a cache would only add a staleness hazard.
                 if hot {
-                    if let Some(s) = &skew {
-                        if let Some(resp) = s.cache_lookup(node, req, key, token, gen) {
-                            h.gate.count_hit();
-                            return Some(resp);
-                        }
+                    if let Some(resp) = skew.cache_lookup(node, req, key, token, gen) {
+                        h.gate.count_hit();
+                        return Some(resp);
                     }
                 }
                 true
@@ -431,9 +409,7 @@ impl FastPathTable {
         if clean_read && hot {
             // Every proof that justified serving this read holds for the
             // cached copy until the gate word or stripe generation moves.
-            if let Some(s) = &skew {
-                s.cache_fill(node, req, key, token, gen, &result);
-            }
+            skew.cache_fill(node, req, key, token, gen, &result);
         }
         h.gate.count_hit();
         Some(Response {
@@ -444,7 +420,7 @@ impl FastPathTable {
 
     /// Offers a PUT/DEL addressed to `node` to its write combiner. `None`
     /// means "relay through the actor mailbox" — not a write, unknown
-    /// node, combining disabled, mis-routed key, or a closed write gate
+    /// node, mis-routed key, or a closed write gate
     /// (AA modes, mid-transition, recovery). `reply_to` is the address
     /// the controlet's eventual response should be sent to; `now` is the
     /// caller's clock for deadline checks.
@@ -461,7 +437,7 @@ impl FastPathTable {
         };
         let handles = self.handles.read();
         let h = handles.get(&node)?;
-        let writes = h.writes.as_ref()?;
+        let writes = &h.writes;
         // Mis-routed writes fall back so the actor answers `WrongNode`
         // with a proper hint.
         if self.map.shard_for_key(key) != h.shard {
@@ -495,22 +471,13 @@ pub enum WriteSubmit {
     },
 }
 
-/// Overload protection for a [`NodeEdge`]: a cap on requests parked
-/// awaiting a controlet reply, relay deadline and stall-detection knobs,
-/// plus expired-deadline rejection. The clock must be the same one
-/// deadlines were stamped against (the runtime's `now()`).
-#[derive(Clone)]
-pub struct EdgeOverload {
-    /// Requests parked in the pending-reply table beyond this are shed
-    /// before entering the controlet mailbox; 0 means unbounded.
-    pub relay_cap: usize,
-    /// How long a parked relay waits for its controlet reply before the
-    /// demux sweep completes it with `Timeout`. The request's own wire
-    /// deadline is honoured when tighter.
-    pub relay_timeout: Duration,
-    /// Oldest-outstanding-relay age past which a peer is considered
-    /// gray-failed and the edge trips into fast-fail for it.
-    pub relay_stall_threshold: Duration,
+/// Overload protection for a [`NodeEdge`]: the cluster's relay cap
+/// (0 = unbounded), relay deadline and stall-detection knobs, plus
+/// expired-deadline rejection. The clock must be the same one deadlines
+/// were stamped against (the runtime's `now()`).
+pub(crate) struct EdgeOverload {
+    /// The cluster's overload knobs; the edge reads the relay ones.
+    pub cfg: OverloadConfig,
     /// Shed/expiry event counters.
     pub counters: Arc<OverloadCounters>,
     /// Clock for deadline checks.
@@ -663,16 +630,21 @@ struct EdgeInner {
     /// park here and are settled off the leader's outcome.
     flights: Mutex<HashMap<FlightKey, FlightWaiters>>,
     fast_path: AtomicBool,
-    write_combine: AtomicBool,
-    overload: RwLock<Option<EdgeOverload>>,
+    overload: EdgeOverload,
     health: RelayHealth,
 }
 
 impl NodeEdge {
     /// Builds the edge for `node`. `mailbox` must come from the same
     /// runtime the node's controlet runs on; `enable_fast_path: false`
-    /// routes every request through the actor (the bench baseline).
-    pub fn new(node: NodeId, table: Arc<FastPathTable>, mailbox: Mailbox, enable_fast_path: bool) -> Self {
+    /// routes every GET through the actor (the relay baseline).
+    pub(crate) fn new(
+        node: NodeId,
+        table: Arc<FastPathTable>,
+        mailbox: Mailbox,
+        enable_fast_path: bool,
+        overload: EdgeOverload,
+    ) -> Self {
         let inner = Arc::new(EdgeInner {
             node,
             table,
@@ -680,8 +652,7 @@ impl NodeEdge {
             pending: Mutex::new(HashMap::new()),
             flights: Mutex::new(HashMap::new()),
             fast_path: AtomicBool::new(enable_fast_path),
-            write_combine: AtomicBool::new(false),
-            overload: RwLock::new(None),
+            overload,
             health: RelayHealth::new(),
         });
         let stop = Arc::new(AtomicBool::new(false));
@@ -711,31 +682,9 @@ impl NodeEdge {
         NodeEdge { inner, stop, demux: Some(demux) }
     }
 
-    /// Arms overload protection: expired requests and requests over the
-    /// relay cap are answered `Overloaded` before they reach the actor,
-    /// and the relay deadline/stall knobs take effect.
-    pub fn with_overload(self, overload: EdgeOverload) -> Self {
-        *self.inner.overload.write() = Some(overload);
-        self
-    }
-
-    /// Enables the flat-combining write path: PUT/DELs are published into
-    /// the node's op log on the reactor thread instead of relaying one
-    /// actor message per write (requires the node's handle to carry an
-    /// op log — see `FastPathHandle::writes`).
-    pub fn with_write_combine(self, on: bool) -> Self {
-        self.inner.write_combine.store(on, Ordering::Release);
-        self
-    }
-
     /// Flips the fast path on or off (bench before/after comparison).
     pub fn set_fast_path(&self, on: bool) {
         self.inner.fast_path.store(on, Ordering::Release);
-    }
-
-    /// Flips write combining on or off (bench before/after comparison).
-    pub fn set_write_combine(&self, on: bool) {
-        self.inner.write_combine.store(on, Ordering::Release);
     }
 
     /// Whether the relay health tracker currently considers `peer`
@@ -767,30 +716,26 @@ impl EdgeInner {
     /// parked (`Served::Parked`) when a completer was minted and the
     /// demux thread owns the eventual reply.
     fn serve(&self, req: Request, mint: &mut dyn FnMut() -> Completer) -> Served {
-        let overload = self.overload.read().clone();
-        if let Some(o) = &overload {
-            // Work whose deadline already passed is dead on arrival: the
-            // client has given up, so executing it only steals capacity
-            // from requests that can still make their SLO.
-            if req.expired((o.clock)()) {
-                o.counters
-                    .deadline_expired
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Served::Ready(Response::err(req.id, KvError::Overloaded));
-            }
+        let now = (self.overload.clock)();
+        // Work whose deadline already passed is dead on arrival: the
+        // client has given up, so executing it only steals capacity from
+        // requests that can still make their SLO.
+        if req.expired(now) {
+            self.overload
+                .counters
+                .deadline_expired
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            return Served::Ready(Response::err(req.id, KvError::Overloaded));
         }
         // A completer minted on a path that then resolved inline; every
         // later exit must consume it (see `finish`).
         let mut carried: Option<Completer> = None;
-        if self.write_combine.load(Ordering::Acquire)
-            && matches!(req.op, Op::Put { .. } | Op::Del { .. })
-        {
-            let now = overload.as_ref().map_or(Instant::ZERO, |o| (o.clock)());
+        if matches!(req.op, Op::Put { .. } | Op::Del { .. }) {
             let rid = req.id;
             // Park BEFORE submitting: the controlet can drain, commit and
             // respond before `try_write` even returns, and an unparked
             // response would be dropped.
-            self.park(rid, mint(), self.deadline_for(&req, overload.as_ref()), self.node, None);
+            self.park(rid, mint(), self.deadline_for(&req), self.node, None);
             match self.table.try_write(self.node, &req, self.mailbox.addr(), now) {
                 Some(WriteSubmit::Done(resp)) => {
                     // Answered on the spot (reply cache / shed): complete
@@ -808,9 +753,9 @@ impl EdgeInner {
                     }
                     return Served::Parked;
                 }
-                // Write gate closed (AA mode, mid-transition, recovery)
-                // or combining unavailable: relay below, reusing the
-                // minted completer.
+                // Write gate closed (AA mode, mid-transition, recovery),
+                // unknown node or mis-routed key: relay below, reusing
+                // the minted completer.
                 None => {
                     carried = self.unpark(rid);
                     if carried.is_none() {
@@ -832,7 +777,8 @@ impl EdgeInner {
         // expires — never by re-waiting a full relay budget of their own.
         let mut flight: Option<FlightKey> = None;
         let mut relay_to = self.node;
-        if let (Some(skew), Op::Get { key }) = (self.table.skew(), &req.op) {
+        if let Op::Get { key } = &req.op {
+            let skew = self.table.skew();
             if skew.sketch().is_hot(key) {
                 let fk: FlightKey = (req.table.clone(), key.clone(), req.level);
                 {
@@ -852,7 +798,7 @@ impl EdgeInner {
                         }
                     }
                 }
-                skew.counters()
+                skew.counters
                     .coalesce_leaders
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 relay_to = self.route(&req);
@@ -861,7 +807,7 @@ impl EdgeInner {
         // Refusals (gray fast-fail, relay-cap shed) answer inline and
         // settle the flight we lead, so followers never park behind a
         // relay that was never dispatched.
-        if let Some(resp) = self.refuse(&req, relay_to, overload.as_ref()) {
+        if let Some(resp) = self.refuse(&req, relay_to) {
             let result = resp.result.clone();
             self.settle_flight(flight, &result);
             return finish(carried, resp);
@@ -871,7 +817,7 @@ impl EdgeInner {
             Some(c) => c,
             None => mint(),
         };
-        self.park(rid, completer, self.deadline_for(&req, overload.as_ref()), relay_to, flight);
+        self.park(rid, completer, self.deadline_for(&req), relay_to, flight);
         self.mailbox.send(Addr(relay_to.raw()), NetMsg::Client(req));
         Served::Parked
     }
@@ -893,27 +839,19 @@ impl EdgeInner {
     /// gray peer bounces immediately (`WrongNode{hint}` toward a healthy
     /// replica for spreadable GETs, `Unavailable` otherwise), and a full
     /// pending table sheds `Overloaded` rather than park without limit.
-    fn refuse(
-        &self,
-        req: &Request,
-        relay_to: NodeId,
-        o: Option<&EdgeOverload>,
-    ) -> Option<Response> {
-        if self.peer_is_tripped(relay_to, o) {
-            if let Some(o) = o {
-                o.counters
-                    .stall_fastfails
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
+    fn refuse(&self, req: &Request, relay_to: NodeId) -> Option<Response> {
+        let o = &self.overload;
+        if self.peer_is_tripped(relay_to) {
+            o.counters
+                .stall_fastfails
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             return Some(Response::err(req.id, self.bounce_error(req, relay_to)));
         }
-        if let Some(o) = o {
-            if o.relay_cap != 0 && self.pending.lock().len() >= o.relay_cap {
-                o.counters
-                    .relay_shed
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Some(Response::err(req.id, KvError::Overloaded));
-            }
+        if o.cfg.relay_cap != 0 && self.pending.lock().len() >= o.cfg.relay_cap {
+            o.counters
+                .relay_shed
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            return Some(Response::err(req.id, KvError::Overloaded));
         }
         None
     }
@@ -934,33 +872,26 @@ impl EdgeInner {
         KvError::Unavailable(self.table.shard_of(relay_to).unwrap_or(ShardId(0)))
     }
 
-    fn peer_is_tripped(&self, peer: NodeId, o: Option<&EdgeOverload>) -> bool {
-        let threshold: std::time::Duration = o
-            .map(|o| o.relay_stall_threshold.into())
-            .unwrap_or_else(|| OverloadConfig::default().relay_stall_threshold.into());
-        let (tripped, newly) = self.health.check(peer, threshold);
+    fn peer_is_tripped(&self, peer: NodeId) -> bool {
+        let o = &self.overload;
+        let (tripped, newly) = self.health.check(peer, o.cfg.relay_stall_threshold.into());
         if newly {
-            if let Some(o) = o {
-                o.counters
-                    .stall_trips
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
+            o.counters
+                .stall_trips
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
         tripped
     }
 
     /// Wall-clock expiry for a new parked entry: the configured relay
     /// timeout, clamped by the request's own wire deadline when tighter.
-    fn deadline_for(&self, req: &Request, o: Option<&EdgeOverload>) -> std::time::Instant {
-        let mut budget: std::time::Duration = o
-            .map(|o| o.relay_timeout.into())
-            .unwrap_or_else(|| OverloadConfig::default().relay_timeout.into());
-        if let Some(o) = o {
-            if req.deadline != Instant::ZERO {
-                let remaining: std::time::Duration =
-                    req.deadline.saturating_since((o.clock)()).into();
-                budget = budget.min(remaining);
-            }
+    fn deadline_for(&self, req: &Request) -> std::time::Instant {
+        let o = &self.overload;
+        let mut budget: std::time::Duration = o.cfg.relay_timeout.into();
+        if req.deadline != Instant::ZERO {
+            let remaining: std::time::Duration =
+                req.deadline.saturating_since((o.clock)()).into();
+            budget = budget.min(remaining);
         }
         std::time::Instant::now() + budget
     }
@@ -1018,20 +949,15 @@ impl EdgeInner {
         if expired.is_empty() {
             return;
         }
-        let o = self.overload.read().clone();
+        let counters = &self.overload.counters;
         for (rid, e) in expired {
-            if let Some(o) = &o {
-                o.counters
-                    .relay_expired
+            counters
+                .relay_expired
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if self.health.on_timeout(e.peer, rid) {
+                counters
+                    .stall_trips
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            let newly = self.health.on_timeout(e.peer, rid);
-            if newly {
-                if let Some(o) = &o {
-                    o.counters
-                        .stall_trips
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
             }
             let result: Result<RespBody, KvError> = Err(KvError::Timeout);
             e.completer.complete(Response { id: rid, result: result.clone() });
@@ -1053,14 +979,12 @@ impl EdgeInner {
         if waiters.is_empty() {
             return;
         }
-        let o = self.overload.read().clone();
-        let skew = self.table.skew();
         let coalesced = |n: u64| {
-            if let Some(s) = &skew {
-                s.counters()
-                    .coalesced
-                    .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-            }
+            self.table
+                .skew()
+                .counters
+                .coalesced
+                .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
         };
         for (wreq, completer) in waiters {
             let level = self.table.effective_level(self.node, wreq.level);
@@ -1077,16 +1001,15 @@ impl EdgeInner {
                 }
             }
             let to = self.route(&wreq);
-            if let Some(resp) = self.refuse(&wreq, to, o.as_ref()) {
+            if let Some(resp) = self.refuse(&wreq, to) {
                 completer.complete(resp);
                 continue;
             }
-            if let Some(o) = &o {
-                o.counters
-                    .relay_redispatches
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            self.park(wreq.id, completer, self.deadline_for(&wreq, o.as_ref()), to, None);
+            self.overload
+                .counters
+                .relay_redispatches
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.park(wreq.id, completer, self.deadline_for(&wreq), to, None);
             self.mailbox.send(Addr(to.raw()), NetMsg::Client(wreq));
         }
     }

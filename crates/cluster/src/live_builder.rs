@@ -6,8 +6,9 @@
 //! correctness under true parallelism, wall-clock time, nondeterministic
 //! interleavings.
 
-use crate::assembly::{assemble, Assembled};
+use crate::assembly::{assemble, script_client, Assembled};
 use crate::builder::ClusterSpec;
+use crate::edge::{EdgeOverload, FastPathTable, NodeEdge};
 use bespokv::client::ClientCore;
 use bespokv_datalet::{CrashDevice, Datalet};
 use bespokv_runtime::{Actor, Addr, LiveRuntime};
@@ -35,10 +36,9 @@ pub struct LiveCluster {
     script_progress: HashMap<Addr, (Arc<std::sync::atomic::AtomicUsize>, usize)>,
     /// Consistency-oracle recorder (present when the spec enabled history).
     recorder: Option<HistoryRecorder>,
-    /// Shared read fast path (present when the spec enabled it).
-    fast_path: Option<Arc<crate::edge::FastPathTable>>,
-    /// Cluster-wide overload counters (shed events are meaningful when the
-    /// spec armed overload protection; recovery telemetry always).
+    /// Shared fast-path table (read fast path, write combiner, skew engine).
+    fast_path: Arc<FastPathTable>,
+    /// Cluster-wide overload counters.
     overload_counters: Arc<OverloadCounters>,
     /// Per-node crash devices (durability specs only); `kill_node` cuts
     /// their power.
@@ -61,9 +61,7 @@ impl LiveCluster {
             crash_devices,
             ..
         } = assemble(&spec, &mut |actor| rt.spawn(actor));
-        if let Some(o) = spec.overload {
-            rt.set_mailbox_cap(o.mailbox_cap, Arc::clone(&overload_counters));
-        }
+        rt.set_mailbox_cap(spec.overload.mailbox_cap, Arc::clone(&overload_counters));
         LiveCluster {
             rt,
             controlets,
@@ -80,16 +78,12 @@ impl LiveCluster {
         }
     }
 
-    /// Skew-engine counter snapshot (zeroes unless the spec armed skew).
+    /// Skew-engine counter snapshot.
     pub fn skew_snapshot(&self) -> bespokv_types::SkewSnapshot {
-        self.fast_path
-            .as_ref()
-            .map(|t| t.skew_snapshot())
-            .unwrap_or_default()
+        self.fast_path.skew_snapshot()
     }
 
-    /// The cluster-wide overload counters (zeroes unless the spec armed
-    /// overload protection).
+    /// The cluster-wide overload counters.
     pub fn overload_counters(&self) -> Arc<OverloadCounters> {
         Arc::clone(&self.overload_counters)
     }
@@ -99,40 +93,34 @@ impl LiveCluster {
         self.recorder.as_ref()
     }
 
-    /// The shared read fast-path table, when the spec enabled it.
-    pub fn fast_path(&self) -> Option<&Arc<crate::edge::FastPathTable>> {
-        self.fast_path.as_ref()
+    /// The shared fast-path table. Always `Some` (every cluster is
+    /// assembled with one); the `Option` keeps existing callers compiling.
+    pub fn fast_path(&self) -> Option<&Arc<FastPathTable>> {
+        Some(&self.fast_path)
     }
 
-    /// Binds a real TCP edge for `node`: a fresh [`crate::edge::NodeEdge`]
-    /// relaying into the node's controlet, served by a `TcpServer` on an
-    /// ephemeral local port speaking the binary protocol. Server caps
-    /// (connection slab, pipeline budget, reactor sizing) and relay-side
-    /// overload protection come from the spec's overload config. Requires
-    /// the spec to have enabled the fast-path table; `serve_fast_path:
-    /// false` routes every request through the actor (the relay baseline).
+    /// Binds a real TCP edge for `node`: a fresh [`NodeEdge`] relaying
+    /// into the node's controlet, served by a `TcpServer` on an ephemeral
+    /// local port speaking the binary protocol. Server caps (connection
+    /// slab, pipeline budget, reactor sizing) and relay-side overload
+    /// protection come from the spec's overload config. `serve_fast_path:
+    /// false` routes every GET through the actor (the relay baseline).
     pub fn tcp_edge(
         &mut self,
         node: NodeId,
         serve_fast_path: bool,
-    ) -> (crate::edge::NodeEdge, bespokv_runtime::tcp::TcpServer) {
-        let table = Arc::clone(
-            self.fast_path
-                .as_ref()
-                .expect("tcp_edge requires with_fast_path() or with_write_combine()"),
-        );
-        let mut edge =
-            crate::edge::NodeEdge::new(node, table, self.rt.register_mailbox(), serve_fast_path)
-                .with_write_combine(self.spec.write_combine);
-        if let Some(o) = self.spec.overload {
-            edge = edge.with_overload(crate::edge::EdgeOverload {
-                relay_cap: o.relay_cap,
-                relay_timeout: o.relay_timeout,
-                relay_stall_threshold: o.relay_stall_threshold,
+    ) -> (NodeEdge, bespokv_runtime::tcp::TcpServer) {
+        let edge = NodeEdge::new(
+            node,
+            Arc::clone(&self.fast_path),
+            self.rt.register_mailbox(),
+            serve_fast_path,
+            EdgeOverload {
+                cfg: self.spec.overload,
                 counters: Arc::clone(&self.overload_counters),
                 clock: self.rt.clock(),
-            });
-        }
+            },
+        );
         let parser_factory: Arc<bespokv_runtime::tcp::ParserFactory> = Arc::new(|| {
             Box::new(bespokv_proto::parser::BinaryParser::new())
                 as Box<dyn bespokv_proto::parser::ProtocolParser>
@@ -175,32 +163,16 @@ impl LiveCluster {
     pub fn add_script_client(&mut self, script: Vec<crate::script::Step>) -> Addr {
         let id = ClientId(self.next_client_id);
         self.next_client_id += 1;
-        let mut core = ClientCore::new(id, self.coordinator)
+        let core = ClientCore::new(id, self.coordinator)
             .with_request_timeout(Duration::from_millis(300));
-        if let Some(rec) = &self.recorder {
-            core = core.with_history(rec.clone());
-        }
-        if let Some(o) = self.spec.overload {
-            core = core.with_overload(o, Arc::clone(&self.overload_counters));
-        }
-        if let Some(cfg) = self.spec.skew {
-            let counters = self
-                .fast_path
-                .as_ref()
-                .and_then(|t| t.skew())
-                .map(|s| s.counters())
-                .unwrap_or_default();
-            core = core.with_skew(cfg, counters);
-        }
-        let mut client = crate::script::ScriptClient::new(core, script);
-        if let Some(t) = &self.fast_path {
-            if self.spec.fast_path {
-                client = client.with_fast_path(Arc::clone(t));
-            }
-            if self.spec.write_combine {
-                client = client.with_write_combine(Arc::clone(t));
-            }
-        }
+        let client = script_client(
+            &self.spec,
+            core,
+            &self.recorder,
+            &self.overload_counters,
+            &self.fast_path,
+            script,
+        );
         let progress = client.progress_handle();
         let len = client.script_len();
         let addr = self.rt.spawn(Box::new(client));
@@ -213,10 +185,8 @@ impl LiveCluster {
     pub fn kill_node(&mut self, node: NodeId) -> Option<Box<dyn Actor>> {
         // Close the gate first: edge threads mid-read must fail seqlock
         // validation rather than serve on behalf of a dead node.
-        if let Some(t) = &self.fast_path {
-            t.close(node);
-            t.unregister(node);
-        }
+        self.fast_path.close(node);
+        self.fast_path.unregister(node);
         let actor = self.rt.kill(Addr(node.raw()));
         if let Some(dev) = self.crash_devices.get(&node) {
             dev.crash().expect("crash cut on an in-memory device");

@@ -67,18 +67,16 @@ pub struct ScriptClient {
     /// tests, which cannot peek into an actor on another thread) can watch
     /// progress without stopping the client.
     progress: Arc<AtomicUsize>,
-    /// When present, GETs are first offered to the shared-datalet read
-    /// fast path; only fallbacks travel the actor channel.
-    fast_path: Option<Arc<FastPathTable>>,
-    /// When present, PUT/DELs are first offered to the target node's
-    /// write combiner; only gate-closed fallbacks travel the actor
-    /// channel as ordinary client messages.
-    combine: Option<Arc<FastPathTable>>,
+    /// The cluster's edge: GETs are first offered to the shared-datalet
+    /// read fast path and PUT/DELs to the target node's write combiner;
+    /// only fallbacks travel the actor channel as ordinary client
+    /// messages.
+    table: Arc<FastPathTable>,
 }
 
 impl ScriptClient {
-    /// Creates the client.
-    pub fn new(core: ClientCore, script: Vec<Step>) -> Self {
+    /// Creates the client over the cluster's fast-path table.
+    pub fn new(core: ClientCore, script: Vec<Step>, table: Arc<FastPathTable>) -> Self {
         ScriptClient {
             core,
             script,
@@ -87,26 +85,8 @@ impl ScriptClient {
             results: Vec::new(),
             completed_at: Vec::new(),
             progress: Arc::new(AtomicUsize::new(0)),
-            fast_path: None,
-            combine: None,
+            table,
         }
-    }
-
-    /// Enables the read fast path: outgoing GETs are intercepted at the
-    /// edge and served straight from the target node's shared datalet
-    /// whenever its serving gate permits.
-    pub fn with_fast_path(mut self, table: Arc<FastPathTable>) -> Self {
-        self.fast_path = Some(table);
-        self
-    }
-
-    /// Enables the flat-combining write path: outgoing PUT/DELs are
-    /// published into the target node's op log at the edge (when its
-    /// write gate permits); the controlet's reply arrives on the normal
-    /// response channel.
-    pub fn with_write_combine(mut self, table: Arc<FastPathTable>) -> Self {
-        self.combine = Some(table);
-        self
     }
 
     /// Whether every step has completed.
@@ -145,22 +125,25 @@ impl ScriptClient {
         }
     }
 
-    /// Issues the next step (if idle) and drains outgoing traffic. GETs
-    /// are offered to the fast path first; a locally served response is
-    /// fed straight back into the core, and the pump resumes after
-    /// [`FAST_READ_LATENCY`] so consecutive edge reads stay paced.
+    /// Issues the next step (if idle) and drains outgoing traffic. Writes
+    /// are offered to the combiner and GETs to the fast path first; a
+    /// locally served response is fed straight back into the core, and
+    /// the pump resumes after [`FAST_READ_LATENCY`] so consecutive edge
+    /// reads stay paced.
     fn pump(&mut self, now: Instant, ctx: &mut Context) {
         self.begin_if_idle(now);
         let mut served = Vec::new();
         for (to, msg) in self.core.take_outgoing() {
-            // Write combining: park the op in the target node's op log on
-            // this (edge) thread. The simulator is single-threaded, so
-            // the submit always wins the combiner lock and the batch is
-            // already in the handoff queue when the nudge lands.
-            if let (Some(t), NetMsg::Client(req)) = (&self.combine, &msg) {
+            if let NetMsg::Client(req) = &msg {
+                // Controlet addresses follow `Addr(n) == NodeId(n)`.
+                let node = NodeId(to.0);
                 if matches!(req.op, Op::Put { .. } | Op::Del { .. }) {
-                    // Controlet addresses follow `Addr(n) == NodeId(n)`.
-                    match t.try_write(NodeId(to.0), req, ctx.self_addr(), now) {
+                    // Write combining: park the op in the target node's op
+                    // log on this (edge) thread. The simulator is
+                    // single-threaded, so the submit always wins the
+                    // combiner lock and the batch is already in the
+                    // handoff queue when the nudge lands.
+                    match self.table.try_write(node, req, ctx.self_addr(), now) {
                         Some(WriteSubmit::Done(resp)) => {
                             served.push(resp);
                             continue;
@@ -174,16 +157,12 @@ impl ScriptClient {
                         }
                         None => {} // gate closed: actor path below
                     }
+                } else if let Some(resp) = self.table.try_get(node, req) {
+                    served.push(resp);
+                    continue;
                 }
             }
-            let fast = match (&self.fast_path, &msg) {
-                (Some(t), NetMsg::Client(req)) => t.try_get(NodeId(to.0), req),
-                _ => None,
-            };
-            match fast {
-                Some(resp) => served.push(resp),
-                None => ctx.send(to, msg),
-            }
+            ctx.send(to, msg);
         }
         if served.is_empty() {
             return;

@@ -83,17 +83,18 @@ fn live_replication_converges() {
 /// One spec means one cluster on both runtimes: a hybrid, durable spec with
 /// a standby must come out of `LiveCluster::build` with the same shard map
 /// (per-shard modes applied), the same engines and the same per-node
-/// fast-path consistency as out of `SimCluster::build`.
+/// fast-path consistency as out of `SimCluster::build`. And a spec with no
+/// builder call at all is served the one way on both: GETs off the fast
+/// path, PUTs through the combiner, every GET seen by the skew sketch.
 #[test]
 fn live_and_sim_assemble_the_same_cluster_from_one_spec() {
-    use bespokv_cluster::{DurabilityConfig, SimCluster};
+    use bespokv_cluster::{DurabilityConfig, FastPathTable, SimCluster};
     use bespokv_datalet::{EngineKind, SyncPolicy};
-    use bespokv_types::NodeId;
+    use bespokv_types::{Duration, NodeId};
 
     let spec = ClusterSpec::new(2, 3, Mode::MS_SC)
         .with_per_shard_modes(vec![Mode::MS_SC, Mode::AA_EC])
         .with_standbys(1)
-        .with_fast_path()
         .with_durability(DurabilityConfig {
             engine: EngineKind::TLog,
             sync: SyncPolicy::Always,
@@ -110,11 +111,35 @@ fn live_and_sim_assemble_the_same_cluster_from_one_spec() {
     assert_eq!(names(&live.datalets), names(&sim.datalets), "durable engines");
     let (lt, st) = (live.fast_path().unwrap(), sim.fast_path().unwrap());
     for n in 0..6 {
-        let level = |t: &bespokv_cluster::FastPathTable| {
-            t.effective_level(NodeId(n), ConsistencyLevel::Default)
-        };
+        let level = |t: &FastPathTable| t.effective_level(NodeId(n), ConsistencyLevel::Default);
         assert_eq!(level(lt), level(st), "node {n} default consistency");
         assert!(level(lt).is_some());
     }
+    live.rt.shutdown();
+
+    let script = || {
+        let mut steps: Vec<_> = (0..10).map(|i| put(&format!("d{i}"), "v")).collect();
+        steps.extend((0..10).map(|i| get(&format!("d{i}"))));
+        steps
+    };
+    let served_one_way = |runtime: &str, t: &FastPathTable| {
+        assert!(t.total_hits() > 0, "{runtime}: no GET served off the fast path");
+        assert!(t.combiner_snapshot().ops > 0, "{runtime}: no PUT combined");
+        assert!(t.skew_snapshot().sketch_ops > 0, "{runtime}: the sketch saw no GET");
+    };
+    let spec = ClusterSpec::new(1, 3, Mode::MS_SC);
+    let mut sim = SimCluster::build(spec.clone());
+    let client = sim.add_script_client(script());
+    sim.run_for(Duration::from_secs(2));
+    let c = sim.sim.actor_mut::<bespokv_cluster::ScriptClient>(client);
+    assert!(c.done() && c.results.iter().all(|r| r.is_ok()), "sim: {:?}", c.results);
+    served_one_way("sim", sim.fast_path().expect("sim table"));
+
+    let mut live = LiveCluster::build(spec);
+    let client = live.add_script_client(script());
+    assert!(live.wait_for_script(client, std::time::Duration::from_secs(10)));
+    let results = live.take_script_results(client);
+    assert!(results.iter().all(|r| r.is_ok()), "live: {results:?}");
+    served_one_way("live", live.fast_path().expect("live table"));
     live.rt.shutdown();
 }

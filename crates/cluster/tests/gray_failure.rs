@@ -9,20 +9,19 @@
 //! same seed replays byte-identical schedules, so any oracle failure under
 //! `BESPOKV_STALL=1` reproduces exactly.
 
-use bespokv_cluster::edge::{EdgeOverload, NodeEdge};
 use bespokv_cluster::script::{get, put};
 use bespokv_cluster::{ClusterSpec, LiveCluster, SimCluster};
 use bespokv_proto::client::{Op, Request, RespBody, Response};
 use bespokv_proto::parser::{BinaryParser, ProtocolParser};
-use bespokv_runtime::tcp::{ServerOptions, TcpClient, TcpServer};
+use bespokv_runtime::tcp::TcpClient;
 use bespokv_runtime::{Addr, StallPlan};
 use bespokv_types::{
-    ClientId, Duration, Instant, Key, KvError, Mode, NodeId, OverloadCounters, RequestId,
+    ClientId, Duration, Instant, Key, KvError, Mode, NodeId, OverloadConfig, RequestId,
     SkewConfig, Value,
 };
 use bytes::BytesMut;
 use std::io::Write;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration as StdDuration;
 
 /// These tests compare wall-clock windows and bound latencies, and each
@@ -33,10 +32,6 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn parser_factory() -> Arc<bespokv_runtime::tcp::ParserFactory> {
-    Arc::new(|| Box::new(BinaryParser::new()) as Box<dyn ProtocolParser>)
 }
 
 fn req(seq: u32, op: Op) -> Request {
@@ -51,32 +46,14 @@ fn get_op(key: &str) -> Op {
     Op::Get { key: Key::from(key) }
 }
 
-/// Binds a TCP edge for `node` with the given relay knobs.
-fn reactor_edge(
-    cluster: &mut LiveCluster,
-    node: u32,
-    fast_path: bool,
-    relay_timeout: Duration,
-    stall_threshold: Duration,
-    counters: Arc<OverloadCounters>,
-) -> (NodeEdge, TcpServer) {
-    let table = Arc::clone(cluster.fast_path().expect("fast path enabled"));
-    let edge = NodeEdge::new(NodeId(node), table, cluster.rt.register_mailbox(), fast_path)
-        .with_overload(EdgeOverload {
-            relay_cap: 0,
-            relay_timeout,
-            relay_stall_threshold: stall_threshold,
-            counters,
-            clock: cluster.rt.clock(),
-        });
-    let server = TcpServer::bind_deferred(
-        "127.0.0.1:0",
-        parser_factory(),
-        edge.defer_handler(),
-        ServerOptions::default(),
-    )
-    .unwrap();
-    (edge, server)
+/// A one-shard, three-replica `mode` spec whose edges relay with the
+/// given budget and stall threshold.
+fn relay_spec(mode: Mode, relay_timeout: Duration, stall_threshold: Duration) -> ClusterSpec {
+    ClusterSpec::new(1, 3, mode).with_overload(OverloadConfig {
+        relay_timeout,
+        relay_stall_threshold: stall_threshold,
+        ..OverloadConfig::default()
+    })
 }
 
 fn thread_count() -> usize {
@@ -121,34 +98,30 @@ fn read_response(s: &mut std::net::TcpStream) -> Response {
 #[test]
 fn wedged_controlet_leaves_healthy_node_goodput_intact() {
     let _serial = serial();
-    let counters = Arc::new(OverloadCounters::new());
-    let mut cluster =
-        LiveCluster::build(ClusterSpec::new(1, 3, Mode::AA_EC).with_fast_path());
+    let mut cluster = LiveCluster::build(relay_spec(
+        Mode::AA_EC,
+        Duration::from_secs(5),
+        Duration::from_millis(500),
+    ));
     // Node 0 will be wedged; its edge relays everything (no fast path) so
     // requests park on the wedged controlet. Node 1 stays healthy and
     // serves reads off the fast path.
-    let (wedged_edge, wedged_srv) = reactor_edge(
-        &mut cluster,
-        0,
-        false,
-        Duration::from_secs(5),
-        Duration::from_millis(500),
-        Arc::clone(&counters),
-    );
-    let (_healthy_edge, healthy_srv) = reactor_edge(
-        &mut cluster,
-        1,
-        true,
-        Duration::from_secs(5),
-        Duration::from_millis(500),
-        Arc::clone(&counters),
-    );
+    let (wedged_edge, wedged_srv) = cluster.tcp_edge(NodeId(0), false);
+    let (_healthy_edge, healthy_srv) = cluster.tcp_edge(NodeId(1), true);
     let mut healthy =
         TcpClient::connect(healthy_srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
 
-    // Seed through the healthy node (AA accepts writes anywhere).
+    // Seed through the healthy node (AA accepts writes anywhere): the
+    // four keys the goodput windows read, and one key per parked relay.
+    // The windows make their keys hot, and a hot GET joins another's
+    // singleflight instead of parking its own relay, so the relays read
+    // keys nothing reads before them.
     for i in 0..8u32 {
         let resp = healthy.call(&req(i, put_op(&format!("k{}", i % 4), "v"))).unwrap();
+        assert!(resp.result.is_ok(), "seed put: {:?}", resp.result);
+    }
+    for i in 0..40u32 {
+        let resp = healthy.call(&req(100 + i, put_op(&format!("p{i}"), "v"))).unwrap();
         assert!(resp.result.is_ok(), "seed put: {:?}", resp.result);
     }
 
@@ -182,7 +155,7 @@ fn wedged_controlet_leaves_healthy_node_goodput_intact() {
     // Wedge node 0 and park a burst of relays on it.
     cluster.wedge_node(NodeId(0), StdDuration::from_secs(2));
     let mut held: Vec<std::net::TcpStream> = (0..40)
-        .map(|i| send_raw(wedged_srv.local_addr(), &req(5000 + i, get_op("k0"))))
+        .map(|i| send_raw(wedged_srv.local_addr(), &req(5000 + i, get_op(&format!("p{i}")))))
         .collect();
     // Let the burst land and park before measuring.
     let deadline = std::time::Instant::now() + StdDuration::from_secs(2);
@@ -227,20 +200,12 @@ fn wedged_controlet_leaves_healthy_node_goodput_intact() {
 #[test]
 fn singleflight_followers_settle_when_the_leader_times_out() {
     let _serial = serial();
-    let counters = Arc::new(OverloadCounters::new());
     let mut cluster = LiveCluster::build(
-        ClusterSpec::new(1, 3, Mode::AA_SC)
-            .with_fast_path()
+        relay_spec(Mode::AA_SC, Duration::from_millis(150), Duration::from_millis(80))
             .with_skew(SkewConfig { hot_min_count: 4, ..SkewConfig::default() }),
     );
-    let (edge, srv) = reactor_edge(
-        &mut cluster,
-        0,
-        true,
-        Duration::from_millis(150),
-        Duration::from_millis(80),
-        Arc::clone(&counters),
-    );
+    let counters = cluster.overload_counters();
+    let (edge, srv) = cluster.tcp_edge(NodeId(0), true);
     let mut client =
         TcpClient::connect(srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
     let resp = client.call(&req(0, put_op("hot", "v"))).unwrap();
@@ -330,17 +295,14 @@ fn singleflight_followers_settle_when_the_leader_times_out() {
 #[test]
 fn tripped_peer_fast_fails_spreadable_gets_with_a_healthy_hint() {
     let _serial = serial();
-    let counters = Arc::new(OverloadCounters::new());
-    let mut cluster =
-        LiveCluster::build(ClusterSpec::new(1, 3, Mode::AA_EC).with_fast_path());
-    let (edge, srv) = reactor_edge(
-        &mut cluster,
-        0,
-        false, // no fast path: every GET relays, so the wedge is visible
+    let mut cluster = LiveCluster::build(relay_spec(
+        Mode::AA_EC,
         Duration::from_millis(120),
         Duration::from_millis(60),
-        Arc::clone(&counters),
-    );
+    ));
+    let counters = cluster.overload_counters();
+    // No fast path: every GET relays, so the wedge is visible.
+    let (edge, srv) = cluster.tcp_edge(NodeId(0), false);
     let mut client =
         TcpClient::connect(srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
     let resp = client.call(&req(0, put_op("k", "v"))).unwrap();

@@ -284,6 +284,7 @@ impl Controlet {
             self.respond(reply, resp, ctx);
             return;
         }
+        self.oplog.claim_for_actor(req.id);
         self.pending.insert(
             req.id,
             Pending {

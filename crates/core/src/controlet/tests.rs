@@ -877,6 +877,42 @@ fn full_head_window_sheds_new_writes() {
 }
 
 #[test]
+fn retry_of_actor_path_chain_write_is_never_recombined() {
+    // A write the actor ordered itself (it arrived off the combiner) sits
+    // in flight. Its retry, offered to the combiner, must fall back to the
+    // actor — whose join re-pushes the chain write — instead of being
+    // combined as a new write under a fresh version.
+    let mut head = controlet(0, Mode::MS_SC, &[0, 1, 2]);
+    drive(&mut head, client_put(0, "a", "1"));
+    let (&version, &(rid, _)) = head.in_flight.iter().next().expect("in flight");
+    let log = head.oplog();
+    assert!(log.gate().is_open(), "the retry really meets the combiner");
+    let retry = Request::new(
+        rid,
+        Op::Put {
+            key: Key::from("a"),
+            value: Value::from("1"),
+        },
+    );
+    assert!(log.submit(&retry, Addr(999), Instant::ZERO).is_none());
+    assert!(log.handoff_empty(), "retry was combined as a new write");
+    // The tail's ack answers the client and releases the rid.
+    drive(
+        &mut head,
+        Event::Msg {
+            from: Addr(1),
+            msg: NetMsg::Repl(ReplMsg::ChainAck {
+                shard: ShardId(0),
+                epoch: 1,
+                rid,
+                version,
+            }),
+        },
+    );
+    assert!(!log.tracks(rid));
+}
+
+#[test]
 fn prop_watermark_trims_and_lagging_slave_resyncs() {
     let mut master = controlet(0, Mode::MS_EC, &[0, 1, 2]);
     master.cfg.overload.prop_high_watermark = 4;

@@ -519,6 +519,16 @@ impl OpLog {
         self.inflight.lock().remove(&rid);
     }
 
+    /// Marks a chain write the actor ordered itself (it arrived while the
+    /// gate was closed) as actor-owned. Its retry may find the gate open;
+    /// without the mark the retry would be combined as a new write —
+    /// re-ordering the payload, or shedding it against the window its own
+    /// original occupies, so the original's lost `ChainPut` or ack is never
+    /// re-pushed and the head's window stays full. `respond` releases it.
+    pub fn claim_for_actor(&self, rid: RequestId) {
+        self.inflight.lock().insert(rid, RidOwner::Actor);
+    }
+
     /// Publishes the actor's current chain in-flight count. The controlet
     /// calls this wherever `in_flight` changes size; the combiner reads it
     /// to bound how many chain writes it admits per batch.
@@ -1170,6 +1180,27 @@ mod tests {
         assert_eq!(b2.writes.len(), 1);
         assert_eq!(b2.writes[0].rid, put(2, "other").id);
         assert!(log.pop_batch().is_none());
+    }
+
+    #[test]
+    fn retry_of_actor_ordered_write_takes_actor_path_once_gate_opens() {
+        // The original arrived while the gate was closed, so the actor
+        // ordered it and holds it in flight (the whole one-deep window).
+        // Its retry finds the gate open: it must go to the actor, which
+        // joins it and re-pushes the chain write — never combined afresh,
+        // which would shed it against its own original's window slot.
+        let log = oplog(1);
+        let req = put(1, "k");
+        log.claim_for_actor(req.id);
+        log.publish_head_inflight(1);
+        log.gate()
+            .publish(Some(&info(Mode::MS_SC, 3, 1)), NodeId(0), false);
+        assert!(log.submit_at(0, &req, Addr(9), Instant::ZERO).is_none());
+        assert!(log.pop_batch().is_none(), "retry never reached the combiner");
+        assert_eq!(log.snapshot().shed_window, 0);
+        // The actor's reply releases the claim.
+        log.release(req.id);
+        assert!(!log.tracks(req.id));
     }
 
     #[test]

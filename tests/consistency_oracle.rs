@@ -12,6 +12,10 @@
 //!   linearizable *across* the switch (the paper promises no guarantee
 //!   regression during transitions), and the replicas must converge.
 //!
+//! Every cluster is served one way — read fast path, write combiner, skew
+//! engine and overload bounds — so every scenario runs with all of them in
+//! the history, at the tight limits below that make each one actually fire.
+//!
 //! A final test injects a deliberate client-side stale-read bug and asserts
 //! the oracle flags it — proof the harness has teeth, not just green lights.
 
@@ -42,7 +46,9 @@ fn k(i: usize) -> String {
 /// A deliberately tight overload configuration for the sweep: a single
 /// in-flight chain write at the head, a small queue-delay bound, and low
 /// propagation watermarks, so shedding, trims, and resyncs actually fire
-/// during the scenario instead of idling at production-sized limits.
+/// during the scenario instead of idling at production-sized limits. Every
+/// guarantee below must hold *with requests being shed mid-scenario* — a
+/// shed write that ever became visible would fail the same checks.
 fn tight_overload() -> OverloadConfig {
     OverloadConfig {
         head_window: 1,
@@ -51,34 +57,6 @@ fn tight_overload() -> OverloadConfig {
         prop_low_watermark: 4,
         ..OverloadConfig::default()
     }
-}
-
-/// `BESPOKV_SHED=1` re-runs the whole sweep with overload protection armed
-/// at the tight limits: every guarantee below must hold *with requests
-/// being shed mid-scenario* — a shed write that ever became visible would
-/// fail the same linearizability/convergence checks.
-fn shed_enabled() -> bool {
-    std::env::var("BESPOKV_SHED").ok().as_deref() == Some("1")
-}
-
-/// `BESPOKV_WRITE_COMBINE=1` re-runs the whole sweep with the flat-combining
-/// write path armed: PUT/DELs publish into the ingress node's op log and are
-/// applied in combined batches, and every guarantee below must still hold —
-/// a combined write that got lost, duplicated, or reordered would fail the
-/// same linearizability/convergence checks.
-fn write_combine_enabled() -> bool {
-    std::env::var("BESPOKV_WRITE_COMBINE").ok().as_deref() == Some("1")
-}
-
-/// `BESPOKV_SKEW=1` re-runs the whole sweep with the skew engine armed:
-/// hot-key sketching at every edge, the validating cache on the clean-read
-/// path, and clients spreading hot-key strong reads across clean replicas.
-/// Every guarantee below must hold with cached serves and spread routing
-/// in the mix — a cached value served past the gate's proof, or a spread
-/// read landing on a stale replica, would fail the same linearizability
-/// checks.
-fn skew_enabled() -> bool {
-    std::env::var("BESPOKV_SKEW").ok().as_deref() == Some("1")
 }
 
 /// `BESPOKV_STALL=1` re-runs the whole sweep with gray-failure stall
@@ -114,7 +92,9 @@ fn oracle_stalls(seed: u64) -> bespokv_suite::runtime::StallPlan {
 /// A hair-trigger skew config for the sweep (cf. [`tight_overload`]): the
 /// oracle workload touches 6 keys a few dozen times each, far below the
 /// production hot threshold, so the sketch must classify hot after a
-/// handful of reads for the cache and routing paths to engage at all.
+/// handful of reads for the cache and routing paths to engage at all. A
+/// cached value served past the gate's proof, or a spread read landing on
+/// a stale replica, would fail the same linearizability checks.
 fn tight_skew() -> SkewConfig {
     SkewConfig {
         hot_min_count: 4,
@@ -122,31 +102,35 @@ fn tight_skew() -> SkewConfig {
     }
 }
 
-fn oracle_spec(mode: Mode, seed: u64, fast_path: bool, combine: bool) -> ClusterSpec {
-    let mut spec = ClusterSpec::new(1, 3, mode)
+fn oracle_spec(mode: Mode, seed: u64) -> ClusterSpec {
+    let spec = ClusterSpec::new(1, 3, mode)
         .with_standbys(1)
         .with_coord(CoordConfig {
             failure_timeout: Duration::from_millis(1200),
             check_every: Duration::from_millis(200),
         })
         .with_faults(FaultPlan::new(seed).with_default(LinkFaults::lossy(DROP_P)))
-        .with_history();
-    if shed_enabled() {
-        spec = spec.with_overload(tight_overload());
-    }
-    if fast_path {
-        spec = spec.with_fast_path();
-    }
-    if combine || write_combine_enabled() {
-        spec = spec.with_write_combine();
-    }
-    if skew_enabled() {
-        spec = spec.with_skew(tight_skew());
-    }
+        .with_history()
+        .with_overload(tight_overload())
+        .with_skew(tight_skew());
     if stall_enabled() {
-        spec = spec.with_stalls(oracle_stalls(seed));
+        return spec.with_stalls(oracle_stalls(seed));
     }
     spec
+}
+
+/// What the scenario's clients lean on. Every run has every engine on; the
+/// load decides which of them the extra client presses hardest.
+#[derive(Clone, Copy)]
+enum Load {
+    /// Two writers and one reader.
+    Mixed,
+    /// `Mixed` plus a second reader on an offset key cycle: more reads race
+    /// the kill and repair through the fast path, sketch and cache.
+    ReadHeavy,
+    /// `Mixed` plus a third writer on an offset key cycle: more writes
+    /// contend for the head's one-deep window and the combiner's op log.
+    WriteHeavy,
 }
 
 struct RunArtifacts {
@@ -156,21 +140,22 @@ struct RunArtifacts {
     acked_writes: usize,
     /// Every client's results, in attachment order (determinism compares).
     results: Vec<Vec<Result<bespokv_suite::proto::RespBody, bespokv_suite::types::KvError>>>,
-    /// Fast-path serves / fallbacks across all nodes (0/0 when disabled).
+    /// Fast-path serves / fallbacks across all nodes.
     fast_hits: u64,
     fast_fallbacks: u64,
-    /// Writes that went through the combiner (0 when disabled).
+    /// Writes that went through the combiner.
     combined_ops: u64,
-    /// Skew-engine counters across all edges (zeroes when disabled).
+    /// Skew-engine counters across all edges.
     skew: SkewSnapshot,
 }
 
 /// One kill + rejoin scenario: two writers and a reader share a small
 /// keyspace while node 0 is crashed mid-workload under packet loss; after
 /// the coordinator repairs onto the standby, the dead node is restarted as
-/// a fresh standby (rejoin). Every operation is recorded.
-fn run_fault_scenario(mode: Mode, seed: u64, fast_path: bool, combine: bool) -> RunArtifacts {
-    let mut cluster = SimCluster::build(oracle_spec(mode, seed, fast_path, combine));
+/// a fresh standby (rejoin). `load` may add one more client. Every
+/// operation is recorded.
+fn run_fault_scenario(mode: Mode, seed: u64, load: Load) -> RunArtifacts {
+    let mut cluster = SimCluster::build(oracle_spec(mode, seed));
     // Unique values per (client, op) so the checker can anchor writes.
     // Scripts are long enough that steps are still being issued when the
     // repair lands (~2 s in): during the outage each step burns its retry
@@ -193,6 +178,22 @@ fn run_fault_scenario(mode: Mode, seed: u64, fast_path: bool, combine: bool) -> 
     // Long enough that plenty of reads land after the first group-commit
     // flush window (~1 ms) — early reads legitimately observe "absent".
     let reader = cluster.add_script_client((0..48).map(|i| get(&k(i))).collect());
+    let mut writers = vec![("writer_a", writer_a), ("writer_b", writer_b)];
+    let mut readers = vec![("reader", reader)];
+    match load {
+        Load::Mixed => {}
+        Load::ReadHeavy => readers.push((
+            "reader_b",
+            cluster.add_script_client((0..48).map(|i| get(&k(i + 3))).collect()),
+        )),
+        Load::WriteHeavy => writers.push((
+            "writer_c",
+            cluster.add_script_client(
+                (0..30).map(|i| put(&k(i + 1), &format!("c{i}"))).collect(),
+            ),
+        )),
+    }
+    let clients: Vec<_> = writers.iter().chain(&readers).copied().collect();
 
     cluster.run_for(Duration::from_millis(400));
     cluster.kill_node(NodeId(0));
@@ -203,7 +204,7 @@ fn run_fault_scenario(mode: Mode, seed: u64, fast_path: bool, combine: bool) -> 
     // Drain: scripts finish and EC anti-entropy catches every replica up.
     cluster.run_for(Duration::from_secs(10));
 
-    for (name, addr) in [("writer_a", writer_a), ("writer_b", writer_b), ("reader", reader)] {
+    for &(name, addr) in &clients {
         let c = cluster.sim.actor_mut::<ScriptClient>(addr);
         assert!(
             c.done(),
@@ -212,25 +213,20 @@ fn run_fault_scenario(mode: Mode, seed: u64, fast_path: bool, combine: bool) -> 
             c.script_len()
         );
     }
-    let acked_writes = [writer_a, writer_b]
+    let acked_writes = writers
         .iter()
-        .map(|&a| {
+        .map(|&(_, a)| {
             let c = cluster.sim.actor_mut::<ScriptClient>(a);
             c.results.iter().filter(|r| r.is_ok()).count()
         })
         .sum();
-    let results = [writer_a, writer_b, reader]
+    let results = clients
         .iter()
-        .map(|&a| cluster.sim.actor_mut::<ScriptClient>(a).results.clone())
+        .map(|&(_, a)| cluster.sim.actor_mut::<ScriptClient>(a).results.clone())
         .collect();
-    let (fast_hits, fast_fallbacks) = cluster
-        .fast_path()
-        .map(|t| (t.total_hits(), t.total_fallbacks()))
-        .unwrap_or((0, 0));
-    let combined_ops = cluster
-        .fast_path()
-        .map(|t| t.combiner_snapshot().ops)
-        .unwrap_or(0);
+    let t = cluster.fast_path().expect("every cluster has a fast-path table");
+    let (fast_hits, fast_fallbacks) = (t.total_hits(), t.total_fallbacks());
+    let combined_ops = t.combiner_snapshot().ops;
     let skew = cluster.skew_snapshot();
 
     if stall_enabled() {
@@ -259,63 +255,53 @@ fn run_fault_scenario(mode: Mode, seed: u64, fast_path: bool, combine: bool) -> 
     }
 }
 
-fn check_mode_under_faults(mode: Mode, fast_path: bool, combine: bool) {
-    let combining = combine || write_combine_enabled();
+fn check_mode_under_faults(mode: Mode, load: Load) {
     for seed in SEEDS {
-        let run = run_fault_scenario(mode, seed, fast_path, combine);
-        if combining {
-            if mode == Mode::MS_SC || mode == Mode::MS_EC {
-                // The head/master is the write ingress; its gate opens, so
-                // writes must actually flow through the combiner.
-                assert!(
-                    run.combined_ops > 0,
-                    "{mode:?} seed {seed}: combining enabled but no write combined"
-                );
-            } else {
-                // AA modes have no single write ingress: the write gate
-                // never opens and every write must fall back to the actor.
-                assert_eq!(
-                    run.combined_ops, 0,
-                    "{mode:?} seed {seed}: AA must never combine writes"
-                );
-            }
-        }
-        if fast_path {
-            // The fast path must actually carry reads — except under
-            // AA+SC, where every Default read resolves to Strong and
-            // Strong is never fast-path-eligible under AA.
-            if mode == Mode::AA_SC {
-                assert_eq!(
-                    run.fast_hits, 0,
-                    "seed {seed}: AA+SC must never serve strong reads off the fast path"
-                );
-                assert!(run.fast_fallbacks > 0, "seed {seed}: gate never consulted");
-            } else {
-                assert!(
-                    run.fast_hits > 0,
-                    "{mode:?} seed {seed}: fast path enabled but served nothing"
-                );
-            }
-        }
-        if skew_enabled() {
-            // The sketch taps every edge-intercepted GET, whatever the
-            // permit outcome — if it saw nothing, the engine wasn't wired.
+        let run = run_fault_scenario(mode, seed, load);
+        if mode == Mode::MS_SC || mode == Mode::MS_EC {
+            // The head/master is the write ingress; its gate opens, so
+            // writes must actually flow through the combiner.
             assert!(
-                run.skew.sketch_ops > 0,
-                "{mode:?} seed {seed}: skew armed but the sketch saw no reads"
+                run.combined_ops > 0,
+                "{mode:?} seed {seed}: no write combined"
             );
-            if mode == Mode::AA_SC || mode == Mode::AA_EC {
-                // The validating cache serves (and fills) only under a
-                // `ServeIfClean` grant. AA gates never publish
-                // STRONG_CLEAN — no chain position proves a replica
-                // clean — so the cache must stay stone cold: any fill or
-                // hit here is a serve the gate never justified.
-                assert_eq!(
-                    (run.skew.cache_fills, run.skew.cache_hits),
-                    (0, 0),
-                    "{mode:?} seed {seed}: cache active without a ServeIfClean grant"
-                );
-            }
+        } else {
+            // AA modes have no single write ingress: the write gate
+            // never opens and every write must fall back to the actor.
+            assert_eq!(
+                run.combined_ops, 0,
+                "{mode:?} seed {seed}: AA must never combine writes"
+            );
+        }
+        // The fast path must actually carry reads — except under AA+SC,
+        // where every Default read resolves to Strong and Strong is never
+        // fast-path-eligible under AA.
+        if mode == Mode::AA_SC {
+            assert_eq!(
+                run.fast_hits, 0,
+                "seed {seed}: AA+SC must never serve strong reads off the fast path"
+            );
+            assert!(run.fast_fallbacks > 0, "seed {seed}: gate never consulted");
+        } else {
+            assert!(run.fast_hits > 0, "{mode:?} seed {seed}: fast path served nothing");
+        }
+        // The sketch taps every edge-intercepted GET, whatever the permit
+        // outcome — if it saw nothing, the engine wasn't wired.
+        assert!(
+            run.skew.sketch_ops > 0,
+            "{mode:?} seed {seed}: the sketch saw no reads"
+        );
+        if mode == Mode::AA_SC || mode == Mode::AA_EC {
+            // The validating cache serves (and fills) only under a
+            // `ServeIfClean` grant. AA gates never publish STRONG_CLEAN —
+            // no chain position proves a replica clean — so the cache
+            // must stay stone cold: any fill or hit here is a serve the
+            // gate never justified.
+            assert_eq!(
+                (run.skew.cache_fills, run.skew.cache_hits),
+                (0, 0),
+                "{mode:?} seed {seed}: cache active without a ServeIfClean grant"
+            );
         }
         // During the outage window, steps burn their retry budget quickly
         // and fail back to the script (which marches on), so only a floor
@@ -363,74 +349,89 @@ fn check_mode_under_faults(mode: Mode, fast_path: bool, combine: bool) {
 
 #[test]
 fn oracle_ms_sc_kill_rejoin_under_faults() {
-    check_mode_under_faults(Mode::MS_SC, false, false);
+    check_mode_under_faults(Mode::MS_SC, Load::Mixed);
 }
 
 #[test]
 fn oracle_ms_ec_kill_rejoin_under_faults() {
-    check_mode_under_faults(Mode::MS_EC, false, false);
+    check_mode_under_faults(Mode::MS_EC, Load::Mixed);
 }
 
 #[test]
 fn oracle_aa_sc_kill_rejoin_under_faults() {
-    check_mode_under_faults(Mode::AA_SC, false, false);
+    check_mode_under_faults(Mode::AA_SC, Load::Mixed);
 }
 
 #[test]
 fn oracle_aa_ec_kill_rejoin_under_faults() {
-    check_mode_under_faults(Mode::AA_EC, false, false);
+    check_mode_under_faults(Mode::AA_EC, Load::Mixed);
 }
 
-// Same scenarios with the shared-datalet read fast path enabled: reads are
-// served off edge interception whenever the serving gate permits, and the
-// exact same oracle must hold — the fast path is invisible to correctness.
+// Same scenarios with a second reader: more reads race the kill and repair
+// through the fast path, sketch and cache, and the same oracle must hold.
 
 #[test]
 fn oracle_ms_sc_fastpath_kill_rejoin_under_faults() {
-    check_mode_under_faults(Mode::MS_SC, true, false);
+    check_mode_under_faults(Mode::MS_SC, Load::ReadHeavy);
 }
 
 #[test]
 fn oracle_ms_ec_fastpath_kill_rejoin_under_faults() {
-    check_mode_under_faults(Mode::MS_EC, true, false);
+    check_mode_under_faults(Mode::MS_EC, Load::ReadHeavy);
 }
 
 #[test]
 fn oracle_aa_sc_fastpath_kill_rejoin_under_faults() {
-    check_mode_under_faults(Mode::AA_SC, true, false);
+    check_mode_under_faults(Mode::AA_SC, Load::ReadHeavy);
 }
 
 #[test]
 fn oracle_aa_ec_fastpath_kill_rejoin_under_faults() {
-    check_mode_under_faults(Mode::AA_EC, true, false);
+    check_mode_under_faults(Mode::AA_EC, Load::ReadHeavy);
 }
 
-// Same scenarios with the flat-combining write path enabled: writes publish
-// into the ingress node's op log and are applied in combined batches, and
-// the exact same oracle must hold — combining is invisible to correctness.
+// Same scenarios with a third writer: more writes contend for the head's
+// window and the combiner's op log, and the same oracle must hold.
 
 #[test]
 fn oracle_ms_sc_write_combine_kill_rejoin_under_faults() {
-    check_mode_under_faults(Mode::MS_SC, false, true);
+    check_mode_under_faults(Mode::MS_SC, Load::WriteHeavy);
 }
 
 #[test]
 fn oracle_ms_ec_write_combine_kill_rejoin_under_faults() {
-    check_mode_under_faults(Mode::MS_EC, false, true);
+    check_mode_under_faults(Mode::MS_EC, Load::WriteHeavy);
 }
 
-/// Determinism gate for the combined write path: the same spec and seed
-/// must replay to bit-identical client results, replica contents, and
-/// combiner activity.
-#[test]
-fn oracle_write_combine_same_seed_runs_are_identical() {
-    let seed = SEEDS[1];
-    let a = run_fault_scenario(Mode::MS_SC, seed, false, true);
-    let b = run_fault_scenario(Mode::MS_SC, seed, false, true);
+/// Determinism gate for the whole stack — group commit, fault injection,
+/// fast path, combiner, skew engine and shedding together: the same spec
+/// and seed must replay to bit-identical client results, replica contents,
+/// and fast-path, combiner and skew counters.
+fn assert_same_seed_replays(load: Load, seed: u64) {
+    let a = run_fault_scenario(Mode::MS_SC, seed, load);
+    let b = run_fault_scenario(Mode::MS_SC, seed, load);
     assert_eq!(a.results, b.results, "seed {seed}: client results diverged");
     assert_eq!(a.replicas, b.replicas, "seed {seed}: replica state diverged");
+    assert_eq!(
+        (a.fast_hits, a.fast_fallbacks),
+        (b.fast_hits, b.fast_fallbacks),
+        "seed {seed}: fast-path counters diverged"
+    );
     assert_eq!(a.combined_ops, b.combined_ops, "seed {seed}: combiner diverged");
+    assert_eq!(a.skew, b.skew, "seed {seed}: skew counters diverged");
     assert_eq!(a.acked_writes, b.acked_writes, "seed {seed}");
+}
+
+#[test]
+fn oracle_fastpath_same_seed_runs_are_identical() {
+    for seed in [SEEDS[0], SEEDS[2]] {
+        assert_same_seed_replays(Load::ReadHeavy, seed);
+    }
+}
+
+#[test]
+fn oracle_write_combine_same_seed_runs_are_identical() {
+    assert_same_seed_replays(Load::WriteHeavy, SEEDS[1]);
 }
 
 /// Killing the write ingress (the head) with writes mid-combine: the kill
@@ -440,7 +441,7 @@ fn oracle_write_combine_same_seed_runs_are_identical() {
 /// acks — survives verbatim on every replica of the repaired chain.
 #[test]
 fn oracle_write_combine_gate_close_on_kill_preserves_acked_writes() {
-    let mut cluster = SimCluster::build(oracle_spec(Mode::MS_SC, 7, false, true));
+    let mut cluster = SimCluster::build(oracle_spec(Mode::MS_SC, 7));
     // Distinct keys, one sequential writer: an acked put is never
     // overwritten, so it must appear verbatim in the final state.
     let writer = cluster.add_script_client(
@@ -449,7 +450,7 @@ fn oracle_write_combine_gate_close_on_kill_preserves_acked_writes() {
             .collect(),
     );
     cluster.run_for(Duration::from_millis(400));
-    let t = std::sync::Arc::clone(cluster.fast_path().expect("combine table built"));
+    let t = std::sync::Arc::clone(cluster.fast_path().expect("fast-path table"));
     assert!(
         t.combiner_snapshot().ops > 0,
         "head never combined a write before the kill"
@@ -508,35 +509,15 @@ fn oracle_write_combine_gate_close_on_kill_preserves_acked_writes() {
     );
 }
 
-/// Determinism gate for the whole stack — group-commit batching, fault
-/// injection, and the fast path together: the same spec and seed must
-/// replay to bit-identical client results, replica contents, and fast-path
-/// counters.
-#[test]
-fn oracle_fastpath_same_seed_runs_are_identical() {
-    for seed in [SEEDS[0], SEEDS[2]] {
-        let a = run_fault_scenario(Mode::MS_SC, seed, true, false);
-        let b = run_fault_scenario(Mode::MS_SC, seed, true, false);
-        assert_eq!(a.results, b.results, "seed {seed}: client results diverged");
-        assert_eq!(a.replicas, b.replicas, "seed {seed}: replica state diverged");
-        assert_eq!(
-            (a.fast_hits, a.fast_fallbacks),
-            (b.fast_hits, b.fast_fallbacks),
-            "seed {seed}: fast-path counters diverged"
-        );
-        assert_eq!(a.acked_writes, b.acked_writes, "seed {seed}");
-    }
-}
-
 /// The fast path must slam shut on failover: killing the serving node
 /// closes its gate immediately, and the repaired configuration publishes a
 /// bumped epoch on the survivors — so no in-progress read can validate
 /// across the reconfiguration.
 #[test]
 fn oracle_fastpath_gate_closes_on_kill_and_bumps_epoch_on_repair() {
-    let mut cluster = SimCluster::build(oracle_spec(Mode::MS_SC, 7, true, false));
+    let mut cluster = SimCluster::build(oracle_spec(Mode::MS_SC, 7));
     cluster.run_for(Duration::from_millis(500));
-    let t = std::sync::Arc::clone(cluster.fast_path().expect("fast path enabled"));
+    let t = std::sync::Arc::clone(cluster.fast_path().expect("fast-path table"));
 
     let tail_gate = t.gate(NodeId(2)).expect("tail registered");
     assert!(tail_gate.is_open(), "tail gate open before the fault");
@@ -561,22 +542,33 @@ fn oracle_fastpath_gate_closes_on_kill_and_bumps_epoch_on_repair() {
 /// MS+EC -> MS+SC transition with history: operations issued before, during
 /// and after the switch. Writes and per-request Strong reads serialize at
 /// the master (whose datalet the new head inherits), so that sub-history
-/// must be linearizable end-to-end — the "no guarantee regression" claim.
-/// Default-consistency reads stay EC and are only required to converge.
-#[test]
-fn oracle_ms_ec_to_ms_sc_transition() {
-    let mut cluster = SimCluster::build(ClusterSpec::new(1, 3, Mode::MS_EC).with_history());
+/// must be linearizable end-to-end — the "no guarantee regression" claim —
+/// with edge-served reads in the mix. Default-consistency reads stay EC and
+/// are only required to converge. The old controlets' gates must close when
+/// the switch begins (quiesce) and stay closed once they are out of the
+/// replica set; the replacement controlets' gates open only under the new
+/// mode.
+fn check_transition(spec: ClusterSpec) {
+    let mut cluster = SimCluster::build(spec);
     let seed: Vec<Step> = (0..KEYS)
         .flat_map(|i| {
             vec![
                 put(&k(i), &format!("seed{i}")),
                 get(&k(i)).with_level(ConsistencyLevel::Strong),
+                get(&k(i)),
             ]
         })
         .collect();
     let seeder = cluster.add_script_client(seed);
     cluster.run_for(Duration::from_secs(2));
     assert!(cluster.sim.actor_mut::<ScriptClient>(seeder).done());
+    let t = std::sync::Arc::clone(cluster.fast_path().expect("fast-path table"));
+    assert!(
+        t.total_hits() > 0,
+        "MS+EC reads should serve off the fast path before the transition"
+    );
+    let old_master_gate = t.gate(NodeId(0)).expect("old master registered");
+    assert!(old_master_gate.is_open());
 
     let new_nodes = cluster.start_transition(ShardId(0), Mode::MS_SC);
     let during = cluster.add_script_client(
@@ -604,6 +596,18 @@ fn oracle_ms_ec_to_ms_sc_transition() {
         .clone();
     assert_eq!(info.mode, Mode::MS_SC);
     assert_eq!(info.replicas, new_nodes);
+    // The old master quiesced (and left the replica set): its gate is shut
+    // for good. The new tail serves strong reads under the new mode.
+    assert!(
+        !old_master_gate.is_open(),
+        "old master's gate must close across the transition"
+    );
+    let new_tail = *new_nodes.last().expect("replicas");
+    let new_tail_gate = t.gate(new_tail).expect("new tail registered");
+    assert!(
+        new_tail_gate.is_open(),
+        "new tail must serve once the transition commits"
+    );
 
     let post = cluster.add_script_client(
         (0..KEYS)
@@ -643,89 +647,25 @@ fn oracle_ms_ec_to_ms_sc_transition() {
     assert_eq!(conv.keys, KEYS, "every key survived the transition");
 }
 
-/// The transition variant with the fast path enabled: the old controlets'
-/// gates must close when the switch begins (quiesce) and stay closed once
-/// they are out of the replica set, the replacement controlets' gates only
-/// open under the new mode — and the strong sub-history must remain
-/// linearizable with edge-served reads in the mix.
 #[test]
-fn oracle_ms_ec_to_ms_sc_transition_fastpath() {
-    let mut cluster = SimCluster::build(
-        ClusterSpec::new(1, 3, Mode::MS_EC)
-            .with_history()
-            .with_fast_path(),
-    );
-    let seed: Vec<Step> = (0..KEYS)
-        .flat_map(|i| {
-            vec![
-                put(&k(i), &format!("seed{i}")),
-                get(&k(i)).with_level(ConsistencyLevel::Strong),
-                get(&k(i)),
-            ]
-        })
-        .collect();
-    let seeder = cluster.add_script_client(seed);
-    cluster.run_for(Duration::from_secs(2));
-    assert!(cluster.sim.actor_mut::<ScriptClient>(seeder).done());
-    let t = std::sync::Arc::clone(cluster.fast_path().expect("fast path enabled"));
-    assert!(
-        t.total_hits() > 0,
-        "MS+EC reads should serve off the fast path before the transition"
-    );
-    let old_master_gate = t.gate(NodeId(0)).expect("old master registered");
-    assert!(old_master_gate.is_open());
-
-    let new_nodes = cluster.start_transition(ShardId(0), Mode::MS_SC);
-    let during = cluster.add_script_client(
-        (0..8)
-            .flat_map(|i| {
-                vec![
-                    put(&k(i), &format!("mid{i}")),
-                    get(&k(i)).with_level(ConsistencyLevel::Strong),
-                    get(&k(i)),
-                ]
-            })
-            .collect(),
-    );
-    cluster.run_for(Duration::from_secs(4));
-    assert!(cluster.sim.actor_mut::<ScriptClient>(during).done());
-
-    // The old master quiesced (and left the replica set): its gate is shut
-    // for good. The new tail serves strong reads under the new mode.
-    assert!(
-        !old_master_gate.is_open(),
-        "old master's gate must close across the transition"
-    );
-    let new_tail = *new_nodes.last().expect("replicas");
-    let new_tail_gate = t.gate(new_tail).expect("new tail registered");
-    assert!(
-        new_tail_gate.is_open(),
-        "new tail must serve once the transition commits"
-    );
-
-    let recorder = cluster.history().expect("history enabled").clone();
-    let strong_core: Vec<HistoryEvent> = recorder
-        .events()
-        .into_iter()
-        .filter(|e| e.op.is_write() || e.level == ConsistencyLevel::Strong)
-        .collect();
-    let lin = check_linearizable(&strong_core, &BTreeMap::new());
-    assert!(
-        lin.ok(),
-        "strong ops regressed across the fast-path transition: {:#?}",
-        lin.violations
-    );
-
-    let replicas: Vec<(NodeId, BTreeMap<Key, Value>)> = cluster
-        .dump_replicas(ShardId(0))
-        .into_iter()
-        .map(|(node, entries)| (node, replica_live_map(entries)))
-        .collect();
-    let conv = check_convergence(&replicas);
-    assert!(conv.ok(), "replicas diverged: {:#?}", conv.divergent);
+fn oracle_ms_ec_to_ms_sc_transition() {
+    check_transition(ClusterSpec::new(1, 3, Mode::MS_EC).with_history());
 }
 
-/// Shedding safety, always on (no env var needed): six concurrent writers
+/// The same transition at the sweep's tight limits, so edge-served reads
+/// cross the switch with the sketch classifying hot after a handful of
+/// reads and the head admitting one write at a time.
+#[test]
+fn oracle_ms_ec_to_ms_sc_transition_fastpath() {
+    check_transition(
+        ClusterSpec::new(1, 3, Mode::MS_EC)
+            .with_history()
+            .with_overload(tight_overload())
+            .with_skew(tight_skew()),
+    );
+}
+
+/// Shedding safety, with nothing left to retry: six concurrent writers
 /// hammer one MS+SC chain whose head admits a single in-flight write, with
 /// client retries disabled so every shed surfaces as a final
 /// `Err(Overloaded)`. The invariant under test is the one that makes

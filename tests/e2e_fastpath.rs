@@ -38,7 +38,7 @@ fn get_op(key: &str) -> Op {
 /// and read their own writes.
 #[test]
 fn live_edge_serves_reads_from_shared_datalet() {
-    let mut cluster = LiveCluster::build(ClusterSpec::new(1, 3, Mode::MS_SC).with_fast_path());
+    let mut cluster = LiveCluster::build(ClusterSpec::new(1, 3, Mode::MS_SC));
     let table = Arc::clone(cluster.fast_path().unwrap());
     let (_head_edge, head_srv) = cluster.tcp_edge(NodeId(0), false);
     let (_tail_edge, tail_srv) = cluster.tcp_edge(NodeId(2), true);
@@ -77,8 +77,7 @@ fn live_kill_closes_gate_and_repair_bumps_epoch() {
             .with_coord(CoordConfig {
                 failure_timeout: Duration::from_millis(600),
                 check_every: Duration::from_millis(100),
-            })
-            .with_fast_path(),
+            }),
     );
     let table = Arc::clone(cluster.fast_path().unwrap());
     let (_head_edge, head_srv) = cluster.tcp_edge(NodeId(0), false);

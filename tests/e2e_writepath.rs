@@ -39,8 +39,7 @@ fn get_op(key: &str) -> Op {
 /// the combiner counters exported through `EdgeStats`.
 #[test]
 fn live_edge_combines_writes_and_exports_counters() {
-    let mut cluster =
-        LiveCluster::build(ClusterSpec::new(1, 3, Mode::MS_SC).with_write_combine());
+    let mut cluster = LiveCluster::build(ClusterSpec::new(1, 3, Mode::MS_SC));
     let table = Arc::clone(cluster.fast_path().unwrap());
     let (_head_edge, head_srv) = cluster.tcp_edge(NodeId(0), false);
     let (_tail_edge, tail_srv) = cluster.tcp_edge(NodeId(2), false);
@@ -101,8 +100,7 @@ fn live_kill_head_closes_write_gate_and_keeps_acked_writes() {
             .with_coord(CoordConfig {
                 failure_timeout: Duration::from_millis(600),
                 check_every: Duration::from_millis(100),
-            })
-            .with_write_combine(),
+            }),
     );
     let table = Arc::clone(cluster.fast_path().unwrap());
     let (_head_edge, head_srv) = cluster.tcp_edge(NodeId(0), false);
