@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # an API change that breaks it must fail here, not in the pipeline.
 cargo test -q --manifest-path crates/bench/src/bin/spine/Cargo.toml
 cargo run --release --quiet --manifest-path crates/bench/src/bin/spine/Cargo.toml -- --smoke
+# The two relay-heavy workloads: every AA+SC op and every MS+SC PUT is
+# answered by a controlet, so the smoke's checks (SC reads see every
+# acked PUT, replicas converge) cover the reply path to the edge.
+cargo run --release --quiet --manifest-path crates/bench/src/bin/spine/Cargo.toml -- --smoke --workload b_zipf_aasc
+cargo run --release --quiet --manifest-path crates/bench/src/bin/spine/Cargo.toml -- --smoke --workload a_unif_mssc
 
 # Benchmarks must keep compiling (criterion harnesses + probe binaries)
 # even though CI doesn't run them.

@@ -22,7 +22,8 @@
 //!
 //! [`NodeEdge`] packages the live-runtime side: a TCP request handler
 //! that serves GETs on the reactor thread when permitted and relays the
-//! rest to the controlet actor through a [`Mailbox`].
+//! rest to the controlet actor through a [`Mailbox`]; the replying actor's
+//! thread completes entries, a sweeper thread expires deadlines (10 ms).
 //!
 //! The **skew engine** ([`SkewState`]) rides on both halves.
 //! Every GET that reaches the fast path is recorded in a count-min
@@ -39,7 +40,7 @@ use bespokv::{CombinerSnapshot, DirtySet, OpLog, ReadPermit, ServingState, Submi
 use bespokv_datalet::Datalet;
 use bespokv_proto::client::{Op, RespBody, Request, Response};
 use bespokv_proto::{NetMsg, ReplMsg};
-use bespokv_runtime::{Addr, Completer, Defer, DeferHandler, Mailbox, Served};
+use bespokv_runtime::{Addr, Completer, Defer, DeferHandler, LiveRuntime, Mailbox, Served};
 use bespokv_types::{
     Consistency, ConsistencyLevel, Instant, Key, KeySketch, KvError, NodeId,
     OverloadConfig, OverloadCounters, RequestId, ShardId, ShardMap, SkewConfig, SkewCounters,
@@ -48,7 +49,7 @@ use bespokv_types::{
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Everything an edge thread needs to serve reads for one node.
 pub struct FastPathHandle {
@@ -498,7 +499,7 @@ type FlightWaiters = Vec<(Request, Completer)>;
 /// response slot from whichever thread settles the entry.
 struct Parked {
     completer: Completer,
-    /// Wall-clock expiry; the demux sweep completes the entry with
+    /// Wall-clock expiry; the sweeper thread completes the entry with
     /// `Timeout` past this, so the table never leaks.
     deadline: std::time::Instant,
     /// The controlet this relay was dispatched to (relay-health keying).
@@ -608,18 +609,18 @@ fn finish(carried: Option<Completer>, resp: Response) -> Served {
 /// handler that serves permitted GETs on the calling reactor thread and
 /// relays everything else to the controlet actor via a [`Mailbox`]. A
 /// relayed request *parks the connection, never the thread*: the serving
-/// turn returns immediately with [`Served::Parked`] and the demux thread
-/// completes the transport slot when the controlet reply arrives — or
-/// expires it with `Timeout` at its relay deadline, so a wedged controlet
-/// costs its own callers a bounce, not the edge its threads.
+/// turn returns immediately with [`Served::Parked`]. The replying actor's
+/// thread completes entries; a sweeper thread expires deadlines every
+/// 10 ms with `Timeout`, so a wedged controlet costs its own callers a
+/// bounce, not the edge its threads.
 pub struct NodeEdge {
     inner: Arc<EdgeInner>,
     stop: Arc<AtomicBool>,
-    demux: Option<std::thread::JoinHandle<()>>,
+    sweeper: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Shared state of one [`NodeEdge`]: everything both the serving threads
-/// and the demux/expiry thread touch.
+/// Shared state of one [`NodeEdge`]: everything the serving threads, the
+/// replying actor threads and the sweeper thread touch.
 struct EdgeInner {
     node: NodeId,
     table: Arc<FastPathTable>,
@@ -635,51 +636,45 @@ struct EdgeInner {
 }
 
 impl NodeEdge {
-    /// Builds the edge for `node`. `mailbox` must come from the same
-    /// runtime the node's controlet runs on; `enable_fast_path: false`
+    /// Builds the edge for `node`, registering its mailbox on `rt` — the
+    /// runtime the node's controlet runs on. `enable_fast_path: false`
     /// routes every GET through the actor (the relay baseline).
     pub(crate) fn new(
         node: NodeId,
         table: Arc<FastPathTable>,
-        mailbox: Mailbox,
+        rt: &mut LiveRuntime,
         enable_fast_path: bool,
         overload: EdgeOverload,
     ) -> Self {
-        let inner = Arc::new(EdgeInner {
-            node,
-            table,
-            mailbox: mailbox.clone(),
-            pending: Mutex::new(HashMap::new()),
-            flights: Mutex::new(HashMap::new()),
-            fast_path: AtomicBool::new(enable_fast_path),
-            overload,
-            health: RelayHealth::new(),
+        // Replies complete their entry on the sending thread. The sink holds
+        // the edge weakly: the runtime must not keep a dropped edge alive.
+        let inner = Arc::new_cyclic(|me: &Weak<EdgeInner>| {
+            let me = me.clone();
+            let mailbox = rt.register_mailbox(move |_, msg| {
+                if let (NetMsg::ClientResp(resp), Some(inner)) = (msg, me.upgrade()) {
+                    inner.complete(resp);
+                }
+            });
+            EdgeInner {
+                node,
+                table,
+                mailbox,
+                pending: Mutex::new(HashMap::new()),
+                flights: Mutex::new(HashMap::new()),
+                fast_path: AtomicBool::new(enable_fast_path),
+                overload,
+                health: RelayHealth::new(),
+            }
         });
         let stop = Arc::new(AtomicBool::new(false));
-        let demux = {
-            let inner = Arc::clone(&inner);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                // One thread does both jobs: match controlet replies to
-                // parked entries, and sweep expired deadlines. Folding the
-                // sweep into the recv loop keeps expiry latency bounded
-                // (one recv timeout) without a second timer thread.
-                let mut last_sweep = std::time::Instant::now();
-                while !stop.load(Ordering::Acquire) {
-                    if let Some((_, NetMsg::ClientResp(resp))) =
-                        inner.mailbox.recv_timeout(std::time::Duration::from_millis(25))
-                    {
-                        inner.complete(resp);
-                    }
-                    let now = std::time::Instant::now();
-                    if now.duration_since(last_sweep) >= std::time::Duration::from_millis(10) {
-                        last_sweep = now;
-                        inner.expire_parked(now);
-                    }
-                }
-            })
-        };
-        NodeEdge { inner, stop, demux: Some(demux) }
+        let (edge, halt) = (Arc::clone(&inner), Arc::clone(&stop));
+        let sweeper = std::thread::spawn(move || {
+            while !halt.load(Ordering::Acquire) {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                edge.expire_parked(std::time::Instant::now());
+            }
+        });
+        NodeEdge { inner, stop, sweeper: Some(sweeper) }
     }
 
     /// Flips the fast path on or off (bench before/after comparison).
@@ -714,7 +709,7 @@ impl EdgeInner {
     /// Serves one request: inline (`Served::Ready`) when the fast path,
     /// a shed, or a fast-fail bounce answers it on the calling thread;
     /// parked (`Served::Parked`) when a completer was minted and the
-    /// demux thread owns the eventual reply.
+    /// controlet's reply (or the sweeper) owns the eventual response.
     fn serve(&self, req: Request, mint: &mut dyn FnMut() -> Completer) -> Served {
         let now = (self.overload.clock)();
         // Work whose deadline already passed is dead on arrival: the
@@ -738,10 +733,12 @@ impl EdgeInner {
             self.park(rid, mint(), self.deadline_for(&req), self.node, None);
             match self.table.try_write(self.node, &req, self.mailbox.addr(), now) {
                 Some(WriteSubmit::Done(resp)) => {
-                    // Answered on the spot (reply cache / shed): complete
-                    // through the parked entry so the completer is used
-                    // exactly once whichever thread got there first.
-                    self.complete(resp);
+                    // Answered on the spot (reply cache / shed): no
+                    // controlet replied, so no health verdict — a shed must
+                    // not heal a wedged peer.
+                    if let Some(c) = self.unpark(rid) {
+                        c.complete(resp);
+                    }
                     return Served::Parked;
                 }
                 Some(WriteSubmit::Enqueued { shard, nudge }) => {
@@ -759,7 +756,7 @@ impl EdgeInner {
                 None => {
                     carried = self.unpark(rid);
                     if carried.is_none() {
-                        // The demux settled it while we raced; done.
+                        // The sweeper settled it while we raced; done.
                         return Served::Parked;
                     }
                 }
@@ -910,17 +907,17 @@ impl EdgeInner {
             .insert(rid, Parked { completer, deadline, peer, flight });
     }
 
-    /// Takes a parked entry back out without a health verdict (the relay
-    /// never went upstream). `None` means the demux already settled it.
+    /// Takes a parked entry back out without a health verdict (no
+    /// controlet answered it). `None` means another thread settled it.
     fn unpark(&self, rid: RequestId) -> Option<Completer> {
         let p = self.pending.lock().remove(&rid)?;
         self.health.on_abort(p.peer, rid);
         Some(p.completer)
     }
 
-    /// Completes a parked entry with the controlet's reply (demux path):
-    /// health heals, the connection's response slot fills, and any flight
-    /// the entry led is settled with the same result.
+    /// Completes a parked entry on the replying actor's thread: health
+    /// heals, the connection's response slot fills, and any flight the
+    /// entry led is settled with the same result.
     fn complete(&self, resp: Response) {
         let Some(p) = self.pending.lock().remove(&resp.id) else { return };
         self.health.on_reply(p.peer, resp.id);
@@ -932,8 +929,8 @@ impl EdgeInner {
 
     /// Expires every parked entry past its deadline with `Timeout`, trips
     /// relay health for the silent peer, and settles led flights. Runs on
-    /// the demux thread; the pending lock is dropped before any completer
-    /// fires.
+    /// the sweeper thread every 10 ms; the pending lock is dropped before
+    /// any completer fires.
     fn expire_parked(&self, now: std::time::Instant) {
         let expired: Vec<(RequestId, Parked)> = {
             let mut pending = self.pending.lock();
@@ -1018,7 +1015,7 @@ impl EdgeInner {
 impl Drop for NodeEdge {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.demux.take() {
+        if let Some(h) = self.sweeper.take() {
             let _ = h.join();
         }
         // Anything still parked completes with the Timeout backstop when

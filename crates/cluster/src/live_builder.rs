@@ -110,15 +110,16 @@ impl LiveCluster {
         node: NodeId,
         serve_fast_path: bool,
     ) -> (NodeEdge, bespokv_runtime::tcp::TcpServer) {
+        let clock = self.rt.clock();
         let edge = NodeEdge::new(
             node,
             Arc::clone(&self.fast_path),
-            self.rt.register_mailbox(),
+            &mut self.rt,
             serve_fast_path,
             EdgeOverload {
                 cfg: self.spec.overload,
                 counters: Arc::clone(&self.overload_counters),
-                clock: self.rt.clock(),
+                clock,
             },
         );
         let parser_factory: Arc<bespokv_runtime::tcp::ParserFactory> = Arc::new(|| {

@@ -178,7 +178,7 @@ fn wedged_controlet_leaves_healthy_node_goodput_intact() {
     );
 
     // Every parked relay completes: the wedge releases inside the relay
-    // budget, the controlet drains, the demux finishes the connections.
+    // budget, the controlet drains, and its replies finish the connections.
     for s in held.iter_mut() {
         let resp = read_response(s);
         assert!(
@@ -381,6 +381,56 @@ fn tripped_peer_fast_fails_spreadable_gets_with_a_healthy_hint() {
     };
     assert!(recovered, "peer never healed after the wedge released");
     assert!(!edge.peer_tripped(NodeId(0)));
+
+    drop(srv);
+    cluster.rt.shutdown();
+}
+
+/// A PUT answered at the edge is not a controlet reply. Here a retry of
+/// a completed PUT is answered from the reply cache while the head's
+/// controlet is wedged: that answer must leave the head's relay health
+/// tripped, or later relays would park behind the wedge instead of
+/// failing fast.
+#[test]
+fn edge_answered_put_does_not_heal_a_tripped_peer() {
+    let _serial = serial();
+    let mut cluster = LiveCluster::build(relay_spec(
+        Mode::MS_SC,
+        Duration::from_millis(400),
+        Duration::from_millis(100),
+    ));
+    let (edge, srv) = cluster.tcp_edge(NodeId(0), true);
+    let mut client =
+        TcpClient::connect(srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
+    let put = req(0, put_op("k", "v"));
+    let resp = client.call(&put).unwrap();
+    assert!(resp.result.is_ok(), "seed: {:?}", resp.result);
+
+    // A relayed GET into the wedge expires and trips the head.
+    cluster.wedge_node(NodeId(0), StdDuration::from_secs(2));
+    edge.set_fast_path(false);
+    let resp = client.call(&req(1, get_op("k"))).unwrap();
+    assert!(
+        matches!(resp.result, Err(KvError::Timeout)),
+        "a relay into the wedge should time out: {:?}",
+        resp.result
+    );
+    assert!(edge.peer_tripped(NodeId(0)));
+
+    // The Timeout body poisoned that connection; retry the completed PUT
+    // on a fresh one. The edge answers it without the controlet.
+    let mut client =
+        TcpClient::connect(srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
+    let resp = client.call(&put).unwrap();
+    assert!(
+        resp.result.is_ok(),
+        "a retried completed PUT is answered from the reply cache: {:?}",
+        resp.result
+    );
+    assert!(
+        edge.peer_tripped(NodeId(0)),
+        "an edge-answered PUT healed the wedged head's relay health"
+    );
 
     drop(srv);
     cluster.rt.shutdown();

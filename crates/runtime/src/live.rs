@@ -4,7 +4,9 @@
 //! gets its own OS thread and an MPSC channel; `now()` reads the monotonic
 //! clock; timers are kept in a per-thread heap and serviced with
 //! `recv_timeout`. CPU charges from [`Context::charge`] are ignored — real
-//! work takes real time here.
+//! work takes real time here. An external address ([`Mailbox`]) has no
+//! thread or channel: a message sent to it runs its sink callback on the
+//! sender's thread.
 //!
 //! This driver backs the integration tests (end-to-end correctness of the
 //! controlet protocols with true parallelism) and the wall-clock latency
@@ -111,8 +113,16 @@ impl StallCell {
     }
 }
 
+/// Where a slot's messages go; `None` in [`Slot::inbox`] once killed.
+enum Inbox {
+    /// An actor thread's channel.
+    Actor(Sender<Envelope>),
+    /// An external address: the sender's thread runs the callback.
+    Sink(Arc<dyn Fn(Addr, NetMsg) + Send + Sync>),
+}
+
 struct Slot {
-    tx: Option<Sender<Envelope>>,
+    inbox: Option<Inbox>,
     /// Messages currently queued in this slot's channel (in-service
     /// messages excluded): the mailbox depth the cap applies to.
     depth: Arc<AtomicUsize>,
@@ -131,23 +141,35 @@ struct Router {
 
 impl Router {
     fn send(&self, from: Addr, to: Addr, msg: NetMsg) {
-        {
+        let sink = {
             // Sends to dead or unknown actors are silently dropped,
             // matching the fail-stop network semantics of the simulator.
             let slots = self.slots.read();
             let Some(slot) = slots.get(to.0 as usize) else {
                 return;
             };
-            let Some(tx) = &slot.tx else { return };
-            let cap = self.client_cap.load(Ordering::Relaxed);
-            let shed = cap != 0
-                && matches!(&msg, NetMsg::Client(_))
-                && slot.depth.load(Ordering::Acquire) >= cap;
-            if !shed {
-                slot.depth.fetch_add(1, Ordering::AcqRel);
-                let _ = tx.send(Envelope::Msg { from, msg });
-                return;
+            match &slot.inbox {
+                None => return,
+                Some(Inbox::Sink(sink)) => Some(Arc::clone(sink)),
+                Some(Inbox::Actor(tx)) => {
+                    let cap = self.client_cap.load(Ordering::Relaxed);
+                    let shed = cap != 0
+                        && matches!(&msg, NetMsg::Client(_))
+                        && slot.depth.load(Ordering::Acquire) >= cap;
+                    if !shed {
+                        slot.depth.fetch_add(1, Ordering::AcqRel);
+                        let _ = tx.send(Envelope::Msg { from, msg });
+                        return;
+                    }
+                    None
+                }
             }
+        };
+        // The slot guard is dropped first: a sink may send in turn, and a
+        // read re-taken while `spawn` waits to write would deadlock.
+        if let Some(sink) = sink {
+            sink(from, msg);
+            return;
         }
         // Full mailbox: answer the client explicitly instead of queueing
         // without bound (or dropping silently). The reply bypasses the
@@ -200,7 +222,7 @@ impl LiveRuntime {
         let depth = Arc::new(AtomicUsize::new(0));
         let stall = Arc::new(StallCell::new());
         self.router.slots.write().push(Slot {
-            tx: Some(tx),
+            inbox: Some(Inbox::Actor(tx)),
             depth: Arc::clone(&depth),
             stall: Arc::clone(&stall),
         });
@@ -249,16 +271,18 @@ impl LiveRuntime {
     }
 
     /// Registers an external mailbox: an address that participates in the
-    /// message fabric without an actor thread behind it. Edge threads (TCP
-    /// workers, benches) use it to inject requests into actors and receive
-    /// the responses those actors address back to the mailbox.
-    pub fn register_mailbox(&mut self) -> Mailbox {
+    /// message fabric without an actor thread behind it. Edge layers use
+    /// it to inject requests into actors; every message an actor addresses
+    /// back to it runs `sink(from, msg)` on that actor's thread, in send
+    /// order, with no queue or thread hop in between.
+    pub fn register_mailbox(
+        &mut self,
+        sink: impl Fn(Addr, NetMsg) + Send + Sync + 'static,
+    ) -> Mailbox {
         let addr = Addr(self.handles.len() as u32);
-        let (tx, rx) = unbounded();
-        let depth = Arc::new(AtomicUsize::new(0));
         self.router.slots.write().push(Slot {
-            tx: Some(tx),
-            depth: Arc::clone(&depth),
+            inbox: Some(Inbox::Sink(Arc::new(sink))),
+            depth: Arc::new(AtomicUsize::new(0)),
             stall: Arc::new(StallCell::new()),
         });
         // No thread: keep the handle table aligned with addresses so
@@ -266,17 +290,15 @@ impl LiveRuntime {
         self.handles.push(None);
         Mailbox {
             addr,
-            rx,
             router: Arc::clone(&self.router),
-            depth,
         }
     }
 
     /// Kills an actor: its channel is closed and further sends to it drop.
     /// Returns the actor's final state once its thread exits.
     pub fn kill(&mut self, addr: Addr) -> Option<Box<dyn Actor>> {
-        let sender = self.router.slots.write()[addr.0 as usize].tx.take();
-        if let Some(tx) = sender {
+        let inbox = self.router.slots.write()[addr.0 as usize].inbox.take();
+        if let Some(Inbox::Actor(tx)) = inbox {
             let _ = tx.send(Envelope::Stop);
         }
         self.handles[addr.0 as usize]
@@ -312,15 +334,12 @@ impl Default for LiveRuntime {
 }
 
 /// An external participant in a [`LiveRuntime`]'s message fabric: it has an
-/// address actors can reply to, but no thread or actor of its own. Cloning
-/// shares the underlying channel (clones *steal* messages from each other —
-/// use one receiving thread, or one clone per independent request stream).
+/// address actors can reply to, but no thread or actor of its own. Replies
+/// run the sink given to [`LiveRuntime::register_mailbox`].
 #[derive(Clone)]
 pub struct Mailbox {
     addr: Addr,
-    rx: Receiver<Envelope>,
     router: Arc<Router>,
-    depth: Arc<AtomicUsize>,
 }
 
 impl Mailbox {
@@ -332,39 +351,6 @@ impl Mailbox {
     /// Sends a message into the runtime, from this mailbox's address.
     pub fn send(&self, to: Addr, msg: NetMsg) {
         self.router.send(self.addr, to, msg);
-    }
-
-    /// Receives the next message addressed to this mailbox, waiting at most
-    /// `timeout`. Returns `None` on timeout or runtime teardown.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<(Addr, NetMsg)> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.rx.recv_timeout(remaining) {
-                Ok(Envelope::Msg { from, msg }) => {
-                    self.depth.fetch_sub(1, Ordering::AcqRel);
-                    return Some((from, msg));
-                }
-                // A Stop can reach a mailbox via kill(); ignore and keep
-                // draining until the deadline.
-                Ok(Envelope::Stop) => continue,
-                Err(_) => return None,
-            }
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<(Addr, NetMsg)> {
-        loop {
-            match self.rx.try_recv() {
-                Ok(Envelope::Msg { from, msg }) => {
-                    self.depth.fetch_sub(1, Ordering::AcqRel);
-                    return Some((from, msg));
-                }
-                Ok(Envelope::Stop) => continue,
-                Err(_) => return None,
-            }
-        }
     }
 }
 
@@ -524,7 +510,7 @@ mod tests {
     use bespokv_types::Duration;
     use std::any::Any;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
 
     /// Polls a shared counter until it reaches `want` or five seconds pass.
     /// Condition-based instead of a fixed sleep: fast when the runtime is
@@ -539,6 +525,16 @@ mod tests {
             );
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
+    }
+
+    /// A mailbox whose sink forwards every message into a channel, so a
+    /// test can wait on replies.
+    fn forwarding_mailbox(rt: &mut LiveRuntime) -> (Mailbox, mpsc::Receiver<(Addr, NetMsg)>) {
+        let (tx, rx) = mpsc::channel();
+        let mailbox = rt.register_mailbox(move |from, msg| {
+            let _ = tx.send((from, msg));
+        });
+        (mailbox, rx)
     }
 
     struct Ponger {
@@ -635,9 +631,9 @@ mod tests {
     fn mailbox_round_trips_through_an_actor() {
         let mut rt = LiveRuntime::new();
         let ponger = rt.spawn(Box::new(Ponger { seen: 0 }));
-        let mailbox = rt.register_mailbox();
+        let (mailbox, replies) = forwarding_mailbox(&mut rt);
         mailbox.send(ponger, NetMsg::Coord(CoordMsg::GetShardMap));
-        let (from, msg) = mailbox
+        let (from, msg) = replies
             .recv_timeout(std::time::Duration::from_secs(5))
             .expect("echo");
         assert_eq!(from, ponger);
@@ -647,9 +643,90 @@ mod tests {
         let second = rt.spawn(Box::new(Ponger { seen: 0 }));
         assert_eq!(second.0, mailbox.addr().0 + 1);
         mailbox.send(second, NetMsg::Coord(CoordMsg::GetShardMap));
-        assert!(mailbox.recv_timeout(std::time::Duration::from_secs(5)).is_some());
+        assert!(replies.recv_timeout(std::time::Duration::from_secs(5)).is_ok());
         rt.kill(ponger).expect("ponger state");
         assert!(rt.kill(mailbox.addr()).is_none(), "mailbox has no actor state");
+    }
+
+    #[test]
+    fn sink_runs_on_the_sending_actor_thread_in_send_order() {
+        use bespokv_types::{ClientId, RequestId};
+
+        /// Sends `n` numbered replies to `to` on start.
+        struct Burst {
+            to: Addr,
+            n: u32,
+        }
+        impl Actor for Burst {
+            fn on_event(&mut self, ev: Event, ctx: &mut Context) {
+                if let Event::Start = ev {
+                    for i in 0..self.n {
+                        let id = RequestId::compose(ClientId(1), i);
+                        ctx.send(self.to, NetMsg::ClientResp(Response::err(id, KvError::Timeout)));
+                    }
+                }
+            }
+            fn as_any(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        let mut rt = LiveRuntime::new();
+        let (tx, rx) = mpsc::channel();
+        let mailbox = rt.register_mailbox(move |_, msg| {
+            let thread = std::thread::current().name().map(str::to_owned);
+            let _ = tx.send((thread, msg));
+        });
+        let sender = rt.spawn(Box::new(Burst { to: mailbox.addr(), n: 50 }));
+        let want = format!("actor-{}", sender.0);
+        for i in 0..50u32 {
+            let (thread, msg) = rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .expect("every message reaches the sink");
+            assert_eq!(thread.as_deref(), Some(want.as_str()), "sink ran off the sender");
+            let NetMsg::ClientResp(r) = msg else { panic!("unexpected {msg:?}") };
+            assert_eq!(r.id, RequestId::compose(ClientId(1), i), "out of send order");
+        }
+        rt.kill(sender);
+    }
+
+    #[test]
+    fn resending_sink_does_not_deadlock_against_spawn() {
+        // The sink re-sends from inside its callback while `spawn` waits
+        // for the slot table's write lock. A slot guard held around the
+        // callback would block that writer, and the re-send's read would
+        // queue behind the writer: a deadlock.
+        let mut rt = LiveRuntime::new();
+        let ponger = rt.spawn(Box::new(Ponger { seen: 0 }));
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (echoed_tx, echoed_rx) = mpsc::channel();
+        let me: Arc<std::sync::OnceLock<Mailbox>> = Arc::new(std::sync::OnceLock::new());
+        let mailbox = {
+            let me = Arc::clone(&me);
+            let calls = AtomicUsize::new(0);
+            rt.register_mailbox(move |from, msg| {
+                if calls.fetch_add(1, Ordering::AcqRel) > 0 {
+                    let _ = echoed_tx.send(());
+                    return;
+                }
+                // First echo: hand over to the spawner, give it time to
+                // queue for the write lock, then send from inside the sink.
+                let _ = entered_tx.send(());
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                me.get().expect("mailbox set").send(from, msg);
+            })
+        };
+        me.set(mailbox.clone()).ok().expect("set once");
+        let spawner = std::thread::spawn(move || {
+            entered_rx.recv().expect("sink entered");
+            rt.spawn(Box::new(Ponger { seen: 0 }));
+            rt
+        });
+        mailbox.send(ponger, NetMsg::Coord(CoordMsg::GetShardMap));
+        echoed_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a re-sending sink deadlocked against spawn");
+        spawner.join().expect("spawner").shutdown();
     }
 
     #[test]
@@ -675,7 +752,7 @@ mod tests {
         let counters = Arc::new(OverloadCounters::new());
         rt.set_mailbox_cap(2, Arc::clone(&counters));
         let server = rt.spawn(Box::new(SlowServer));
-        let mailbox = rt.register_mailbox();
+        let (mailbox, replies) = forwarding_mailbox(&mut rt);
         const N: usize = 20;
         for i in 0..N as u32 {
             let req = Request::new(
@@ -688,7 +765,7 @@ mod tests {
         let mut ok = 0usize;
         let mut shed = 0usize;
         for _ in 0..N {
-            let (_, msg) = mailbox
+            let (_, msg) = replies
                 .recv_timeout(std::time::Duration::from_secs(10))
                 .expect("a reply for every request");
             match msg {
@@ -740,7 +817,7 @@ mod tests {
         let mut rt = LiveRuntime::new();
         let ponger = rt.spawn(Box::new(Ponger { seen: 0 }));
         rt.gray(ponger, std::time::Duration::from_millis(80));
-        let mailbox = rt.register_mailbox();
+        let (mailbox, replies) = forwarding_mailbox(&mut rt);
         let req = Request::new(
             RequestId::compose(ClientId(1), 0),
             Op::Get { key: Key::from("k") },
@@ -748,12 +825,12 @@ mod tests {
         mailbox.send(ponger, NetMsg::Client(req));
         mailbox.send(ponger, NetMsg::Coord(CoordMsg::GetShardMap));
         // Control traffic echoes back promptly despite the gray window…
-        let (_, first) = mailbox
+        let (_, first) = replies
             .recv_timeout(std::time::Duration::from_millis(40))
             .expect("control passes through a gray window");
         assert!(matches!(first, NetMsg::Coord(_)), "{first:?}");
         // …and the held client request is replayed once the window closes.
-        let (_, second) = mailbox
+        let (_, second) = replies
             .recv_timeout(std::time::Duration::from_secs(5))
             .expect("client traffic released after the window");
         assert!(matches!(second, NetMsg::Client(_)), "{second:?}");

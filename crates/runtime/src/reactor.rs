@@ -129,12 +129,21 @@ impl ReactorShared {
 struct Injector {
     queue: Mutex<Vec<(usize, u64, u64, Response)>>,
     waker: Waker,
+    /// Wakes issued: one per empty → non-empty transition of `queue`.
+    wakes: AtomicUsize,
 }
 
 impl Injector {
+    /// Queues a completion; only a push onto an empty queue wakes the
+    /// reactor, which drains the whole queue per turn.
     fn complete(&self, token: usize, gen: u64, ticket: u64, resp: Response) {
-        self.queue.lock().push((token, gen, ticket, resp));
-        let _ = self.waker.wake();
+        let mut q = self.queue.lock();
+        q.push((token, gen, ticket, resp));
+        if q.len() == 1 {
+            drop(q);
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            let _ = self.waker.wake();
+        }
     }
 }
 
@@ -179,6 +188,7 @@ impl ReactorEdge {
             let injector = Arc::new(Injector {
                 queue: Mutex::new(Vec::new()),
                 waker,
+                wakes: AtomicUsize::new(0),
             });
             let mut mio_listener = MioListener::from_std(listener);
             poll.registry()
@@ -901,6 +911,29 @@ mod tests {
 
     fn rid(seq: u32) -> RequestId {
         RequestId::compose(ClientId(1), seq)
+    }
+
+    #[test]
+    fn injector_wakes_once_per_drain() {
+        use super::{Injector, WAKE};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let poll = mio::Poll::new().unwrap();
+        let inj = Injector {
+            queue: Mutex::new(Vec::new()),
+            waker: mio::Waker::new(poll.registry(), WAKE).unwrap(),
+            wakes: AtomicUsize::new(0),
+        };
+        let push = |seq: u32| {
+            inj.complete(0, 0, u64::from(seq), Response::err(rid(seq), KvError::Timeout))
+        };
+        for seq in 0..3 {
+            push(seq);
+        }
+        assert_eq!(inj.wakes.load(Ordering::Relaxed), 1, "pushes behind a pending wake woke again");
+        // The reactor's drain empties the queue; the next push must wake.
+        assert_eq!(std::mem::take(&mut *inj.queue.lock()).len(), 3);
+        push(3);
+        assert_eq!(inj.wakes.load(Ordering::Relaxed), 2, "a push after the drain must wake");
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub enum Served {
 /// A handler that may answer inline (`Served::Ready`) or take a
 /// [`Completer`] from [`Defer::completer`] and park the request
 /// (`Served::Parked`). This is how the relay edge returns a reactor turn
-/// immediately while a controlet reply — or the relay deadline — completes
-/// the request later from the demux thread.
+/// immediately: the replying actor's thread completes entries; a sweeper
+/// thread expires deadlines every 10 ms.
 pub type DeferHandler = dyn Fn(Request, Defer<'_>) -> Served + Send + Sync;
 
 /// Lazily mints the [`Completer`] for one request. Handlers that answer
