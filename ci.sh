@@ -13,11 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # an API change that breaks it must fail here, not in the pipeline.
 cargo test -q --manifest-path crates/bench/src/bin/spine/Cargo.toml
 cargo run --release --quiet --manifest-path crates/bench/src/bin/spine/Cargo.toml -- --smoke
-# The two relay-heavy workloads: every AA+SC op and every MS+SC PUT is
-# answered by a controlet, so the smoke's checks (SC reads see every
-# acked PUT, replicas converge) cover the reply path to the edge.
+# The relay-heavy workloads: every AA+SC op and every PUT is answered by
+# a controlet, so the smoke's checks (SC reads see every acked PUT,
+# replicas converge) cover the reply path to the edge, for chain-acked
+# (MS+SC) and locally acked (MS+EC) writes alike.
 cargo run --release --quiet --manifest-path crates/bench/src/bin/spine/Cargo.toml -- --smoke --workload b_zipf_aasc
 cargo run --release --quiet --manifest-path crates/bench/src/bin/spine/Cargo.toml -- --smoke --workload a_unif_mssc
+cargo run --release --quiet --manifest-path crates/bench/src/bin/spine/Cargo.toml -- --smoke --workload a_unif_msec
 
 # Benchmarks must keep compiling (criterion harnesses + probe binaries)
 # even though CI doesn't run them.
@@ -25,9 +27,10 @@ cargo bench --no-run -p bespokv-bench
 
 # `--workspace` above already runs the consistency oracle sweep and the
 # crash-restart sweep (with the checker and torn-write harness) on the
-# one serving path every cluster has: fast path, write combiner, skew
-# engine and overload bounds. What it cannot run is each sweep again
-# with gray-failure stall injection armed (a replica
+# one serving path every cluster has: fast path, skew engine and
+# overload bounds, with every write ordered by its controlet. What it
+# cannot run is each sweep again with gray-failure stall injection
+# armed (a replica
 # wedged solid mid-outage, a gray partition where heartbeats flow but
 # client traffic stalls, a slow-node window): alive-but-stuck nodes must
 # never become stale reads, lost acks or lost acked-durable writes.

@@ -1,7 +1,7 @@
 //! Connection-scale bench: qps and resident memory of the TCP edge while
 //! N mostly-idle connections are held open.
 //!
-//! This is the experiment the epoll reactor exists for (DESIGN.md §13):
+//! This is the experiment the epoll reactor exists for (DESIGN.md §12):
 //! it pays one slab entry and one descriptor per connection, so
 //! throughput on the *active* connections should stay flat as the idle
 //! population grows.

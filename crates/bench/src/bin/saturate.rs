@@ -5,8 +5,8 @@
 //! overload-protection stack at tight limits — per-turn pipeline budget,
 //! bounded head in-flight window and edge relay table, actor mailbox
 //! caps, deadline rejection — then drives the *write* path (every PUT
-//! enters the head's combiner, and its chain replication runs on the
-//! single-threaded controlet actor) in three phases:
+//! is relayed to the head's controlet actor, which orders it and runs
+//! its chain replication on one thread) in three phases:
 //!
 //! 1. **peak**: moderate closed-loop load that fits capacity, to measure
 //!    the achievable goodput baseline;
@@ -36,8 +36,8 @@ const MEASURE_MS: u64 = 800;
 /// Requests served per connection per reactor turn (fairness, not shed).
 const PIPELINE_CAP: usize = 32;
 /// Writes in flight at the head at once; the shed point. It bounds both
-/// the write combiner's chain window (`head_window`) and the relay table
-/// behind it (`relay_cap`). The peak phase's 2 x 16 in flight fit, the
+/// the head's chain window (`head_window`) and the edge's relay table in
+/// front of it (`relay_cap`). The peak phase's 2 x 16 in flight fit, the
 /// overload phase's 4 x 128 do not.
 const IN_FLIGHT_CAP: usize = 64;
 
@@ -171,8 +171,8 @@ fn main() {
     // Deadlines are stamped against the clock the edge checks them with.
     let clock = cluster.rt.clock();
 
-    // The head is the write ingress: every PUT is combined there and
-    // replicated by its actor, which is the resource being saturated.
+    // The head is the write ingress: every PUT is ordered and replicated
+    // by its actor, which is the resource being saturated.
     let (head_edge, server) = cluster.tcp_edge(NodeId(0), false);
     let addr = server.local_addr();
     let seq = AtomicU32::new(0);

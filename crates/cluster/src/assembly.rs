@@ -70,8 +70,8 @@ impl Wiring<'_> {
     }
 }
 
-/// A controlet's fast-path handle. The gate, dirty set and op log must be
-/// grabbed before the controlet moves into its runtime.
+/// A controlet's fast-path handle. The gate and dirty set must be grabbed
+/// before the controlet moves into its runtime.
 pub(crate) fn fast_path_handle(
     controlet: &Controlet,
     datalet: &Arc<dyn Datalet>,
@@ -84,7 +84,6 @@ pub(crate) fn fast_path_handle(
         datalet: Arc::clone(datalet),
         shard,
         default_level,
-        writes: controlet.oplog(),
     }
 }
 

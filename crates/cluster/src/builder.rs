@@ -86,7 +86,7 @@ pub struct ClusterSpec {
     /// Skew-engine knobs: the fast-path table's hot-key sketch and
     /// validating edge cache, and every scripted client's spreading of
     /// strong reads for heavy hitters across clean replicas (see
-    /// `bespokv_types::skew` and DESIGN.md §15).
+    /// `bespokv_types::skew` and DESIGN.md §14).
     pub skew: SkewConfig,
 }
 
@@ -146,8 +146,8 @@ impl DurabilityConfig {
 impl ClusterSpec {
     /// A sane baseline: `shards x replication` nodes of `tHT` in `mode`,
     /// served the one way every cluster is (DESIGN.md §10): read fast
-    /// path, write combiner, skew engine and overload bounds, each at its
-    /// default config. The mode's gates decide where each one engages.
+    /// path, skew engine and overload bounds, each at its default config.
+    /// The mode's gates decide where each one engages.
     pub fn new(shards: u32, replication: u32, mode: Mode) -> Self {
         ClusterSpec {
             shards,
@@ -195,8 +195,9 @@ impl ClusterSpec {
         self
     }
 
-    /// No-op: every cluster combines writes. Kept so existing callers
-    /// (the frozen `spine` benchmark) still compile.
+    /// No-op, kept so existing callers (the frozen `spine` benchmark)
+    /// still compile: every PUT/DEL is ordered by its controlet actor, and
+    /// there is no edge write combiner left to enable.
     pub fn with_write_combine(self) -> Self {
         self
     }
@@ -318,7 +319,7 @@ pub struct SimCluster {
     next_client_id: u32,
     /// Consistency-oracle recorder (present when the spec enabled history).
     recorder: Option<HistoryRecorder>,
-    /// Shared fast-path table (read fast path, write combiner, skew engine).
+    /// Shared fast-path table (read fast path, skew engine).
     fast_path: Arc<crate::edge::FastPathTable>,
     /// Cluster-wide overload counters.
     overload_counters: Arc<OverloadCounters>,

@@ -36,10 +36,10 @@
 //! relayed GETs for the same hot key share one upstream read through a
 //! singleflight table, with followers woken off the leader's response.
 
-use bespokv::{CombinerSnapshot, DirtySet, OpLog, ReadPermit, ServingState, Submit};
+use bespokv::{DirtySet, ReadPermit, ServingState};
 use bespokv_datalet::Datalet;
 use bespokv_proto::client::{Op, RespBody, Request, Response};
-use bespokv_proto::{NetMsg, ReplMsg};
+use bespokv_proto::NetMsg;
 use bespokv_runtime::{Addr, Completer, Defer, DeferHandler, LiveRuntime, Mailbox, Served};
 use bespokv_types::{
     Consistency, ConsistencyLevel, Instant, Key, KeySketch, KvError, NodeId,
@@ -66,8 +66,27 @@ pub struct FastPathHandle {
     /// Captured at registration: controlets are replaced (not re-moded) on
     /// transition, so the handle's mode is fixed for its lifetime.
     pub default_level: Consistency,
-    /// The node's write-combining op log.
-    pub writes: Arc<OpLog>,
+}
+
+/// Write-combiner counters, kept so callers that read them still compile.
+/// Every PUT/DEL is ordered by its controlet actor and nothing combines
+/// writes at the edge, so every field reads 0.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CombinerSnapshot {
+    /// Batches combined.
+    pub batches: u64,
+    /// Writes that went through the combiner.
+    pub ops: u64,
+    /// Ops rejected `Overloaded` at a full op log.
+    pub shed_full: u64,
+    /// Ops shed at combine time for an expired deadline.
+    pub shed_expired: u64,
+    /// Ops shed at combine time for a full head in-flight window.
+    pub shed_window: u64,
+    /// Submit attempts that found the combiner lock held.
+    pub lock_contention: u64,
+    /// Drains that waited for a concurrent submit to join the batch.
+    pub window_waits: u64,
 }
 
 /// One direct-mapped slot of the validating edge cache: the identity of
@@ -203,10 +222,6 @@ pub struct FastPathTable {
     /// and membership is the gate's job, not ours).
     map: ShardMap,
     handles: RwLock<HashMap<NodeId, FastPathHandle>>,
-    /// Combiner counters of unregistered nodes (kill, teardown): cluster
-    /// telemetry is monotonic, a dead ingress's history must not vanish
-    /// with its handle.
-    retired: Mutex<CombinerSnapshot>,
     /// Hot-key engine: sketch, validating cache and counters.
     skew: SkewState,
 }
@@ -218,7 +233,6 @@ impl FastPathTable {
         FastPathTable {
             map,
             handles: RwLock::new(HashMap::new()),
-            retired: Mutex::new(CombinerSnapshot::default()),
             skew: SkewState::new(skew),
         }
     }
@@ -238,21 +252,16 @@ impl FastPathTable {
         self.handles.write().insert(node, handle);
     }
 
-    /// Removes a node's handle (restart-as-standby, teardown), folding its
-    /// combiner counters into the retired aggregate.
+    /// Removes a node's handle (restart-as-standby, teardown).
     pub fn unregister(&self, node: NodeId) {
-        if let Some(h) = self.handles.write().remove(&node) {
-            self.retired.lock().absorb(&h.writes.snapshot());
-        }
+        self.handles.write().remove(&node);
     }
 
-    /// Slams a node's gates shut (fail-stop kill). The gate words are
-    /// shared with the controlet, so this also invalidates in-progress
-    /// reads and stops further write combining for the dead node.
+    /// Slams a node's gate shut (fail-stop kill). The gate word is shared
+    /// with the controlet, so this also invalidates in-progress reads.
     pub fn close(&self, node: NodeId) {
         if let Some(h) = self.handles.read().get(&node) {
             h.gate.close();
-            h.writes.gate().close();
         }
     }
 
@@ -321,14 +330,9 @@ impl FastPathTable {
         self.handles.read().values().map(|h| h.gate.fallbacks()).sum()
     }
 
-    /// Aggregated write-combiner counters across all registered nodes,
-    /// plus everything unregistered nodes accumulated before removal.
+    /// Write-combiner counters: all zero (see [`CombinerSnapshot`]).
     pub fn combiner_snapshot(&self) -> CombinerSnapshot {
-        let mut total = *self.retired.lock();
-        for h in self.handles.read().values() {
-            total.absorb(&h.writes.snapshot());
-        }
-        total
+        CombinerSnapshot::default()
     }
 
     /// Tries to serve `req` addressed to `node` directly from the shared
@@ -418,58 +422,6 @@ impl FastPathTable {
             result,
         })
     }
-
-    /// Offers a PUT/DEL addressed to `node` to its write combiner. `None`
-    /// means "relay through the actor mailbox" — not a write, unknown
-    /// node, mis-routed key, or a closed write gate
-    /// (AA modes, mid-transition, recovery). `reply_to` is the address
-    /// the controlet's eventual response should be sent to; `now` is the
-    /// caller's clock for deadline checks.
-    pub fn try_write(
-        &self,
-        node: NodeId,
-        req: &Request,
-        reply_to: Addr,
-        now: Instant,
-    ) -> Option<WriteSubmit> {
-        let key = match &req.op {
-            Op::Put { key, .. } | Op::Del { key } => key,
-            _ => return None,
-        };
-        let handles = self.handles.read();
-        let h = handles.get(&node)?;
-        let writes = &h.writes;
-        // Mis-routed writes fall back so the actor answers `WrongNode`
-        // with a proper hint.
-        if self.map.shard_for_key(key) != h.shard {
-            return None;
-        }
-        match writes.submit(req, reply_to, now)? {
-            Submit::Done(resp) => Some(WriteSubmit::Done(resp)),
-            Submit::Enqueued { nudge } => Some(WriteSubmit::Enqueued {
-                shard: writes.shard(),
-                nudge,
-            }),
-        }
-    }
-}
-
-/// Outcome of offering a write to [`FastPathTable::try_write`].
-pub enum WriteSubmit {
-    /// Answered on the spot (reply-cache hit or overload shed); no
-    /// response will come from the controlet.
-    Done(Response),
-    /// Parked in the combiner; the controlet will respond to `reply_to`
-    /// once the batch commits. When `nudge` is true the caller's submit
-    /// combined a fresh batch and should poke the controlet actor with a
-    /// [`ReplMsg::CombinerNudge`] for `shard` (otherwise another thread's
-    /// combine already covers this op, or a flush timer will).
-    Enqueued {
-        /// Shard to nudge.
-        shard: ShardId,
-        /// Whether a nudge is wanted.
-        nudge: bool,
-    },
 }
 
 /// Overload protection for a [`NodeEdge`]: the cluster's relay cap
@@ -544,14 +496,6 @@ impl RelayHealth {
         }
     }
 
-    /// The relay never went upstream after all (raced settle, fell back
-    /// to another path): forget it without a health verdict.
-    fn on_abort(&self, peer: NodeId, rid: RequestId) {
-        if let Some(p) = self.peers.lock().get_mut(&peer) {
-            p.outstanding.remove(&rid);
-        }
-    }
-
     /// A relay to this peer expired. Returns true when this newly trips.
     fn on_timeout(&self, peer: NodeId, rid: RequestId) -> bool {
         let mut peers = self.peers.lock();
@@ -590,18 +534,6 @@ impl RelayHealth {
 
     fn tripped(&self, peer: NodeId) -> bool {
         self.peers.lock().get(&peer).is_some_and(|p| p.tripped)
-    }
-}
-
-/// Completes a response through the carried completer when one exists
-/// (the request was already deferred), otherwise returns it inline.
-fn finish(carried: Option<Completer>, resp: Response) -> Served {
-    match carried {
-        Some(c) => {
-            c.complete(resp);
-            Served::Parked
-        }
-        None => Served::Ready(resp),
     }
 }
 
@@ -722,49 +654,9 @@ impl EdgeInner {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             return Served::Ready(Response::err(req.id, KvError::Overloaded));
         }
-        // A completer minted on a path that then resolved inline; every
-        // later exit must consume it (see `finish`).
-        let mut carried: Option<Completer> = None;
-        if matches!(req.op, Op::Put { .. } | Op::Del { .. }) {
-            let rid = req.id;
-            // Park BEFORE submitting: the controlet can drain, commit and
-            // respond before `try_write` even returns, and an unparked
-            // response would be dropped.
-            self.park(rid, mint(), self.deadline_for(&req), self.node, None);
-            match self.table.try_write(self.node, &req, self.mailbox.addr(), now) {
-                Some(WriteSubmit::Done(resp)) => {
-                    // Answered on the spot (reply cache / shed): no
-                    // controlet replied, so no health verdict — a shed must
-                    // not heal a wedged peer.
-                    if let Some(c) = self.unpark(rid) {
-                        c.complete(resp);
-                    }
-                    return Served::Parked;
-                }
-                Some(WriteSubmit::Enqueued { shard, nudge }) => {
-                    if nudge {
-                        self.mailbox.send(
-                            Addr(self.node.raw()),
-                            NetMsg::Repl(ReplMsg::CombinerNudge { shard }),
-                        );
-                    }
-                    return Served::Parked;
-                }
-                // Write gate closed (AA mode, mid-transition, recovery),
-                // unknown node or mis-routed key: relay below, reusing
-                // the minted completer.
-                None => {
-                    carried = self.unpark(rid);
-                    if carried.is_none() {
-                        // The sweeper settled it while we raced; done.
-                        return Served::Parked;
-                    }
-                }
-            }
-        }
         if self.fast_path.load(Ordering::Acquire) {
             if let Some(resp) = self.table.try_get(self.node, &req) {
-                return finish(carried, resp);
+                return Served::Ready(resp);
             }
         }
         // Hot-key request coalescing: concurrent relayed GETs for the
@@ -782,11 +674,7 @@ impl EdgeInner {
                     let mut fl = self.flights.lock();
                     match fl.get_mut(&fk) {
                         Some(waiters) => {
-                            let completer = match carried.take() {
-                                Some(c) => c,
-                                None => mint(),
-                            };
-                            waiters.push((req, completer));
+                            waiters.push((req, mint()));
                             return Served::Parked;
                         }
                         None => {
@@ -807,14 +695,9 @@ impl EdgeInner {
         if let Some(resp) = self.refuse(&req, relay_to) {
             let result = resp.result.clone();
             self.settle_flight(flight, &result);
-            return finish(carried, resp);
+            return Served::Ready(resp);
         }
-        let rid = req.id;
-        let completer = match carried.take() {
-            Some(c) => c,
-            None => mint(),
-        };
-        self.park(rid, completer, self.deadline_for(&req), relay_to, flight);
+        self.park(req.id, mint(), self.deadline_for(&req), relay_to, flight);
         self.mailbox.send(Addr(relay_to.raw()), NetMsg::Client(req));
         Served::Parked
     }
@@ -905,14 +788,6 @@ impl EdgeInner {
         self.pending
             .lock()
             .insert(rid, Parked { completer, deadline, peer, flight });
-    }
-
-    /// Takes a parked entry back out without a health verdict (no
-    /// controlet answered it). `None` means another thread settled it.
-    fn unpark(&self, rid: RequestId) -> Option<Completer> {
-        let p = self.pending.lock().remove(&rid)?;
-        self.health.on_abort(p.peer, rid);
-        Some(p.completer)
     }
 
     /// Completes a parked entry on the replying actor's thread: health

@@ -16,7 +16,7 @@ pub mod metrics;
 pub mod script;
 
 pub use builder::{cost_for, ClusterSpec, DurabilityConfig, SimCluster};
-pub use edge::{FastPathHandle, FastPathTable, NodeEdge, SkewState, WriteSubmit};
+pub use edge::{CombinerSnapshot, FastPathHandle, FastPathTable, NodeEdge, SkewState};
 pub use live_builder::LiveCluster;
 pub use client_actor::{ClientStats, OpSource, WorkloadClient};
 pub use metrics::{EdgeStats, LatencyHistogram, RunStats, Timeline};

@@ -36,7 +36,7 @@ pub struct LiveCluster {
     script_progress: HashMap<Addr, (Arc<std::sync::atomic::AtomicUsize>, usize)>,
     /// Consistency-oracle recorder (present when the spec enabled history).
     recorder: Option<HistoryRecorder>,
-    /// Shared fast-path table (read fast path, write combiner, skew engine).
+    /// Shared fast-path table (read fast path, skew engine).
     fast_path: Arc<FastPathTable>,
     /// Cluster-wide overload counters.
     overload_counters: Arc<OverloadCounters>,

@@ -1,7 +1,6 @@
 //! Measurement primitives: latency histograms, throughput timelines,
 //! transport edge counters, and aggregated run statistics.
 
-use bespokv::CombinerSnapshot;
 use bespokv_runtime::tcp::{TcpServer, TcpServerStats};
 use bespokv_types::{Duration, Instant, OverloadSnapshot, SkewSnapshot};
 
@@ -171,9 +170,6 @@ pub struct EdgeStats {
     /// Shed/expiry/containment events from the overload-protection layer
     /// (edges, controlets, clients sharing one counter set).
     pub overload: OverloadSnapshot,
-    /// Write-combiner activity aggregated across the cluster's op logs
-    /// (batches combined, ops published, sheds, lock contention).
-    pub combiner: CombinerSnapshot,
     /// Skew-engine activity (sketch traffic, validating-cache hits,
     /// coalesced reads, hot-routing decisions).
     pub skew: SkewSnapshot,
@@ -199,11 +195,6 @@ impl EdgeStats {
         o.slow_slave_resyncs += s.slow_slave_resyncs;
         o.breaker_trips += s.breaker_trips;
         o.retries_denied += s.retries_denied;
-    }
-
-    /// Folds a write-combiner snapshot into the aggregate.
-    pub fn absorb_combiner(&mut self, s: &CombinerSnapshot) {
-        self.combiner.absorb(s);
     }
 
     /// Folds a skew-engine snapshot into the aggregate. The skew state is
@@ -237,12 +228,11 @@ impl std::fmt::Display for EdgeStats {
         write!(
             f,
             "edge: {} conns accepted, {} refused, {} dropped on protocol errors; \
-             {}; {}; {}",
+             {}; {}",
             self.connections_accepted,
             self.connections_refused,
             self.protocol_error_drops,
             self.overload,
-            self.combiner,
             self.skew,
         )
     }
@@ -373,26 +363,6 @@ mod tests {
         assert_eq!(agg.overload.relay_shed, 4);
         assert_eq!(agg.overload.total_shed(), 10);
         assert!(agg.to_string().contains("4 relay"));
-    }
-
-    #[test]
-    fn edge_stats_absorb_combiner_snapshot() {
-        let mut agg = EdgeStats::default();
-        let s = CombinerSnapshot {
-            batches: 2,
-            ops: 9,
-            shed_full: 1,
-            lock_contention: 4,
-            ..CombinerSnapshot::default()
-        };
-        agg.absorb_combiner(&s);
-        agg.absorb_combiner(&s);
-        assert_eq!(agg.combiner.batches, 4);
-        assert_eq!(agg.combiner.ops, 18);
-        assert_eq!(agg.combiner.shed_full, 2);
-        assert_eq!(agg.combiner.lock_contention, 8);
-        assert!(agg.to_string().contains("4 batches"));
-        assert!(agg.to_string().contains("18 ops"));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! the previous completion), which gives program-order semantics — exactly
 //! what consistency assertions need. Records every result.
 
-use crate::edge::{FastPathTable, WriteSubmit};
+use crate::edge::FastPathTable;
 use bespokv::client::ClientCore;
 use bespokv_proto::client::{Op, RespBody};
-use bespokv_proto::{NetMsg, ReplMsg};
+use bespokv_proto::NetMsg;
 use bespokv_runtime::{Actor, Context, Event};
 use bespokv_types::{ConsistencyLevel, Duration, Instant, KvError, NodeId};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,9 +68,8 @@ pub struct ScriptClient {
     /// progress without stopping the client.
     progress: Arc<AtomicUsize>,
     /// The cluster's edge: GETs are first offered to the shared-datalet
-    /// read fast path and PUT/DELs to the target node's write combiner;
-    /// only fallbacks travel the actor channel as ordinary client
-    /// messages.
+    /// read fast path; everything else, and every fallback, travels the
+    /// actor channel as an ordinary client message.
     table: Arc<FastPathTable>,
 }
 
@@ -125,39 +124,17 @@ impl ScriptClient {
         }
     }
 
-    /// Issues the next step (if idle) and drains outgoing traffic. Writes
-    /// are offered to the combiner and GETs to the fast path first; a
-    /// locally served response is fed straight back into the core, and
-    /// the pump resumes after [`FAST_READ_LATENCY`] so consecutive edge
-    /// reads stay paced.
+    /// Issues the next step (if idle) and drains outgoing traffic. GETs
+    /// are offered to the fast path first; a locally served response is
+    /// fed straight back into the core, and the pump resumes after
+    /// [`FAST_READ_LATENCY`] so consecutive edge reads stay paced.
     fn pump(&mut self, now: Instant, ctx: &mut Context) {
         self.begin_if_idle(now);
         let mut served = Vec::new();
         for (to, msg) in self.core.take_outgoing() {
             if let NetMsg::Client(req) = &msg {
                 // Controlet addresses follow `Addr(n) == NodeId(n)`.
-                let node = NodeId(to.0);
-                if matches!(req.op, Op::Put { .. } | Op::Del { .. }) {
-                    // Write combining: park the op in the target node's op
-                    // log on this (edge) thread. The simulator is
-                    // single-threaded, so the submit always wins the
-                    // combiner lock and the batch is already in the
-                    // handoff queue when the nudge lands.
-                    match self.table.try_write(node, req, ctx.self_addr(), now) {
-                        Some(WriteSubmit::Done(resp)) => {
-                            served.push(resp);
-                            continue;
-                        }
-                        Some(WriteSubmit::Enqueued { shard, nudge }) => {
-                            if nudge {
-                                ctx.send(to, NetMsg::Repl(ReplMsg::CombinerNudge { shard }));
-                            }
-                            // The reply arrives as a normal ClientResp.
-                            continue;
-                        }
-                        None => {} // gate closed: actor path below
-                    }
-                } else if let Some(resp) = self.table.try_get(node, req) {
+                if let Some(resp) = self.table.try_get(NodeId(to.0), req) {
                     served.push(resp);
                     continue;
                 }

@@ -94,6 +94,42 @@ fn sc_costs_more_than_ec_under_writes() {
 }
 
 #[test]
+fn chain_write_latency_grows_a_constant_step_per_link() {
+    // A closed loop of one writer measures pure chain latency: each link
+    // adds one hop down the chain and one ack hop back up, so every link
+    // must cost the same step. A write held back at the head (a batching
+    // timer) would flatten the curve instead.
+    let latency_ms = |replicas| {
+        let mut cluster = SimCluster::build(ClusterSpec::new(1, replicas, Mode::MS_SC));
+        let mut w = Workload::new(WorkloadConfig {
+            num_keys: 5_000,
+            ..WorkloadConfig::small(Mix::read_write(0.0), Distribution::Uniform)
+        })
+        .fork(1);
+        let warmup = Duration::from_millis(200);
+        cluster.add_client(
+            Box::new(move || (w.next_op(), String::new(), ConsistencyLevel::Default)),
+            1,
+            warmup,
+            Duration::from_millis(500),
+        );
+        let window = Duration::from_millis(500);
+        cluster.run_for(warmup + window);
+        cluster.collect_stats(window).mean_latency_ms()
+    };
+    let l: Vec<f64> = (1..=3).map(latency_ms).collect();
+    let (first, second) = (l[1] - l[0], l[2] - l[1]);
+    assert!(
+        first > 0.0 && second > 0.0,
+        "chain latency must grow with every link: {l:?} ms"
+    );
+    assert!(
+        (second - first).abs() <= 0.25 * first,
+        "each link should add the same step: {l:?} ms"
+    );
+}
+
+#[test]
 fn deterministic_measurements() {
     let a = measure(Mode::AA_EC, 1, 2, 4);
     let b = measure(Mode::AA_EC, 1, 2, 4);

@@ -386,13 +386,12 @@ fn tripped_peer_fast_fails_spreadable_gets_with_a_healthy_hint() {
     cluster.rt.shutdown();
 }
 
-/// A PUT answered at the edge is not a controlet reply. Here a retry of
-/// a completed PUT is answered from the reply cache while the head's
-/// controlet is wedged: that answer must leave the head's relay health
-/// tripped, or later relays would park behind the wedge instead of
-/// failing fast.
+/// Writes have one ordering authority, so a PUT into a tripped head
+/// cannot spread to a replica: it fails `Unavailable` at once instead of
+/// parking behind the wedge, and failing it is no reply from the head, so
+/// the trip stays armed.
 #[test]
-fn edge_answered_put_does_not_heal_a_tripped_peer() {
+fn put_into_a_tripped_head_fails_fast_and_stays_tripped() {
     let _serial = serial();
     let mut cluster = LiveCluster::build(relay_spec(
         Mode::MS_SC,
@@ -402,8 +401,7 @@ fn edge_answered_put_does_not_heal_a_tripped_peer() {
     let (edge, srv) = cluster.tcp_edge(NodeId(0), true);
     let mut client =
         TcpClient::connect(srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
-    let put = req(0, put_op("k", "v"));
-    let resp = client.call(&put).unwrap();
+    let resp = client.call(&req(0, put_op("k", "v"))).unwrap();
     assert!(resp.result.is_ok(), "seed: {:?}", resp.result);
 
     // A relayed GET into the wedge expires and trips the head.
@@ -417,20 +415,28 @@ fn edge_answered_put_does_not_heal_a_tripped_peer() {
     );
     assert!(edge.peer_tripped(NodeId(0)));
 
-    // The Timeout body poisoned that connection; retry the completed PUT
-    // on a fresh one. The edge answers it without the controlet.
+    // The tripped head admits one relay as a health probe; park one so
+    // the PUT below meets the trip with its probe slot taken.
+    let probe = send_raw(srv.local_addr(), &req(2, get_op("k")));
+    std::thread::sleep(StdDuration::from_millis(20));
+
+    // The Timeout body poisoned the first connection; use a fresh one.
     let mut client =
         TcpClient::connect(srv.local_addr(), Box::new(BinaryParser::new())).unwrap();
-    let resp = client.call(&put).unwrap();
+    let t0 = std::time::Instant::now();
+    let resp = client.call(&req(3, put_op("k", "w"))).unwrap();
+    let fast = t0.elapsed();
     assert!(
-        resp.result.is_ok(),
-        "a retried completed PUT is answered from the reply cache: {:?}",
+        matches!(resp.result, Err(KvError::Unavailable(_))),
+        "a PUT into a tripped head must fail unavailable: {:?}",
         resp.result
     );
+    assert!(fast < StdDuration::from_millis(60), "fast-fail was not fast: {fast:?}");
     assert!(
         edge.peer_tripped(NodeId(0)),
-        "an edge-answered PUT healed the wedged head's relay health"
+        "a PUT failed at the edge healed the wedged head's relay health"
     );
+    drop(probe);
 
     drop(srv);
     cluster.rt.shutdown();

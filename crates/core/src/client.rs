@@ -656,7 +656,12 @@ impl ClientCore {
                         // Circuit breaker: park the overloaded node for
                         // the cooldown so rerouteable traffic (eventual
                         // reads, AA writes) drains away from it; the map
-                        // is not stale, so no refresh.
+                        // is not stale, so no refresh. The request itself
+                        // waits for the next tick: re-sent at once, a
+                        // write whose only target is the shedding head
+                        // would spend its whole attempt budget in a few
+                        // round trips, long before the in-flight write
+                        // holding the head's window is repaired.
                         if self
                             .dead_until
                             .insert(o.target, now + BREAKER_COOLDOWN)
@@ -664,7 +669,7 @@ impl ClientCore {
                         {
                             self.counters.breaker_trips.fetch_add(1, Ordering::Relaxed);
                         }
-                        self.route(&o.req, now)
+                        None
                     }
                     other => {
                         // Connection refused / unroutable: open the
@@ -1420,6 +1425,27 @@ mod tests {
         let evs = rec.events();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].outcome, HistoryOutcome::Fail);
+    }
+
+    #[test]
+    fn overloaded_write_is_resent_only_on_the_next_tick() {
+        let mut core = ClientCore::new(ClientId(1), Addr(99)).with_map(map(Mode::MS_SC));
+        let rid = core.begin(put_op(), "", ConsistencyLevel::Default, now());
+        let head = target_of(&mut core);
+        let comps = core.on_msg(
+            NetMsg::ClientResp(Response::err(rid, KvError::Overloaded)),
+            now(),
+        );
+        assert!(comps.is_empty(), "a shed write is retried, not failed");
+        assert!(
+            core.take_outgoing().is_empty(),
+            "the shed write went straight back to the head that shed it"
+        );
+        assert!(core.on_tick(now() + Duration::from_millis(1)).is_empty());
+        let out = core.take_outgoing();
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].0, head, "an MS write has only the head to go to");
+        assert!(matches!(&out[0].1, NetMsg::Client(r) if r.id == rid));
     }
 
     #[test]

@@ -34,10 +34,8 @@ impl Controlet {
                 if shard != self.cfg.shard && self.info.is_some() {
                     return;
                 }
-                // A standby may be assigned to any shard; rebind (the
-                // combiner stamps its shard id on recorded applies).
+                // A standby may be assigned to any shard; rebind.
                 self.cfg.shard = shard;
-                self.oplog.set_shard(shard);
                 self.serving = false;
                 self.recovery_delta = None;
                 // Delta catch-up: a node that replayed durable local state
@@ -147,6 +145,19 @@ impl Controlet {
         self.adopt_info(info.clone());
         if is_member && self.recovery.is_none() {
             self.serving = true;
+            // The source's feed can finish only once its map lists us:
+            // poll now instead of on the next retry tick, so the window
+            // in which this member refuses clients stays one round trip.
+            if let Some((source, cursor)) = self.recovery_delta {
+                ctx.send(
+                    Self::addr_of(source),
+                    NetMsg::Repl(ReplMsg::RecoveryReq {
+                        shard: info.shard,
+                        from: super::RECOVERY_DELTA_FLAG | cursor,
+                        floor: 0,
+                    }),
+                );
+            }
         }
         if was_member && !is_member && self.transition.is_none() {
             // Removed from the replica set outside a transition (we were
@@ -198,19 +209,7 @@ impl Controlet {
         // (A retried `from == 0` request must NOT reset an existing feed —
         // the feed has been recording since the true start.)
         if from == 0 {
-            // Order matters against the write combiner: (1) drain batches
-            // combined before the feed existed (they were applied but
-            // never feed-recorded — `process_combined` records into feeds
-            // created *before* it runs, so draining first would lose
-            // nothing but draining after feed creation catches stragglers
-            // too); (2) create the feed; (3) close the write gate, so no
-            // further combiner applies bypass `apply_entry` while the
-            // snapshot streams; (4) drain again to flush any batch that
-            // won the combiner lock concurrently with (3).
-            self.drain_combined(ctx);
             self.recovery_feeds.entry(requester).or_default();
-            self.publish_serving();
-            self.drain_combined(ctx);
         }
         let (entries, done) = self.datalet.snapshot_chunk(from, RECOVERY_CHUNK);
         // Reading and serializing a chunk is real work (charged on the
@@ -243,10 +242,6 @@ impl Controlet {
     /// already lists the requester as a replica — from that point normal
     /// replication covers it, so both sides can forget the feed.
     fn serve_recovery_delta(&mut self, shard: ShardId, from: u64, requester: Addr, ctx: &mut Context) {
-        // Any batch still in the combiner handoff must reach the feed
-        // before this slice is cut, or a `finished` verdict could race an
-        // entry the joiner never sees.
-        self.drain_combined(ctx);
         let cursor = (from & !super::RECOVERY_DELTA_FLAG) as usize;
         let feed_entries: Vec<LogEntry> = self
             .recovery_feeds
@@ -284,8 +279,6 @@ impl Controlet {
         );
         if finished {
             self.recovery_feeds.remove(&requester);
-            // The last feed closing may reopen the write gate.
-            self.publish_serving();
         }
     }
 
@@ -315,6 +308,7 @@ impl Controlet {
                     }
                     if done {
                         self.recovery_delta = None;
+                        self.publish_serving();
                     } else {
                         self.recovery_delta = Some((source, cursor + advance));
                     }
@@ -371,10 +365,10 @@ impl Controlet {
             }
             self.adopt_info(rec.info);
             self.serving = true;
-            self.publish_serving();
             // The fuzzy snapshot missed writes applied concurrently with
             // the stream: drain the source's delta feed from cursor 0.
             self.recovery_delta = Some((rec.source, 0));
+            self.publish_serving();
             ctx.send(
                 Self::addr_of(rec.source),
                 NetMsg::Repl(ReplMsg::RecoveryReq {
@@ -433,13 +427,9 @@ impl Controlet {
         });
         // A transition closes the fast path outright: reads fall back to
         // the actor loop, which serves them with EC guarantees until the
-        // switch completes (section V). The write gate closes with it, so
-        // the combiner drain below is final — later submits take the
-        // actor path and are forwarded.
+        // switch completes (section V).
         self.publish_serving();
-        self.drain_combined(ctx);
         self.flush_propagation(ctx);
-        self.flush_chain_batch(ctx);
         self.check_transition_drained(ctx);
     }
 
@@ -454,16 +444,10 @@ impl Controlet {
             return true;
         }
         match (info.mode.topology, info.mode.consistency) {
-            // MS+SC head: all chain writes acked, none still buffered,
-            // and nothing parked in the write combiner.
-            (Topology::MasterSlave, Consistency::Strong) => {
-                self.in_flight.is_empty() && self.chain_batch.is_empty() && self.oplog.idle()
-            }
-            // MS+EC master: every slave acked the whole buffer and the
-            // combiner holds no write not yet in the buffer.
-            (Topology::MasterSlave, Consistency::Eventual) => {
-                self.prop.buffer.is_empty() && self.oplog.idle()
-            }
+            // MS+SC head: all chain writes acked.
+            (Topology::MasterSlave, Consistency::Strong) => self.in_flight.is_empty(),
+            // MS+EC master: every slave acked the whole buffer.
+            (Topology::MasterSlave, Consistency::Eventual) => self.prop.buffer.is_empty(),
             // AA+SC active: no locks in flight.
             (Topology::ActiveActive, Consistency::Strong) => self.pending.is_empty(),
             // AA+EC active: no appends waiting on the log.

@@ -16,7 +16,6 @@ pub mod modes;
 #[cfg(test)]
 mod tests;
 
-use crate::oplog::{CombinedBatch, CombinedWrite, OpLog, ReplyCache, VersionSource};
 use bespokv_datalet::Datalet;
 use bespokv_proto::client::{Op, Request, RespBody, Response};
 use bespokv_proto::{CoordMsg, LogEntry, NetMsg, ReplMsg};
@@ -25,8 +24,7 @@ use bespokv_types::{
     Consistency, Duration, KvError, NodeId, OverloadConfig, OverloadCounters, RequestId, ShardId,
     ShardInfo, Topology, Version,
 };
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::Ordering;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Timer tokens.
@@ -34,7 +32,6 @@ pub(crate) const HEARTBEAT_TIMER: u64 = 1;
 pub(crate) const PROP_FLUSH_TIMER: u64 = 2;
 pub(crate) const LOG_POLL_TIMER: u64 = 3;
 pub(crate) const RECOVERY_RETRY_TIMER: u64 = 4;
-pub(crate) const CHAIN_FLUSH_TIMER: u64 = 5;
 
 /// Map refresh cadence: every Nth heartbeat a serving controlet re-pulls
 /// the shard map, so a dropped `ShardMapUpdate` broadcast heals itself.
@@ -63,13 +60,6 @@ pub struct ControletConfig {
     pub heartbeat_every: Duration,
     /// MS+EC asynchronous propagation flush period.
     pub prop_flush_every: Duration,
-    /// MS+SC group-commit flush period: chain writes buffered at the head
-    /// are pushed down the chain as one `ChainPutBatch` at this cadence
-    /// (or earlier, when the buffer reaches `chain_batch_max`).
-    pub chain_flush_every: Duration,
-    /// MS+SC group-commit size threshold: a full buffer flushes
-    /// immediately instead of waiting for the timer.
-    pub chain_batch_max: usize,
     /// AA+EC shared-log poll period.
     pub log_poll_every: Duration,
     /// P2P-style routing (section IV-E): a request for a key this shard
@@ -118,14 +108,50 @@ impl ControletConfig {
             cost: CostModel::tht(),
             heartbeat_every: Duration::from_millis(500),
             prop_flush_every: Duration::from_millis(2),
-            chain_flush_every: Duration::from_millis(1),
-            chain_batch_max: 32,
             log_poll_every: Duration::from_millis(2),
             p2p_forwarding: false,
             recorder: None,
             overload: OverloadConfig::default(),
             counters: Arc::new(OverloadCounters::new()),
             recovered: None,
+        }
+    }
+}
+
+/// Completed-write reply cache capacity. Only needs to outlive a client's
+/// retry window (a handful of seconds), so a small bound suffices.
+const REPLY_CACHE_CAP: usize = 1024;
+
+/// Reply cache for completed writes: a client retry of a write already
+/// acked is answered from here, never executed again — a re-execution
+/// would commit the same payload under a fresh version and resurrect it
+/// over writes that landed in between.
+#[derive(Debug, Default)]
+pub(crate) struct ReplyCache {
+    map: HashMap<RequestId, Response>,
+    order: VecDeque<RequestId>,
+}
+
+impl ReplyCache {
+    /// The cached reply for a completed write, if any.
+    pub(crate) fn get(&self, rid: RequestId) -> Option<Response> {
+        self.map.get(&rid).cloned()
+    }
+
+    /// Records a completed write reply (only successful `Done`s are worth
+    /// caching; errors are safe to re-derive). The oldest entry is evicted
+    /// past [`REPLY_CACHE_CAP`].
+    pub(crate) fn record(&mut self, resp: &Response) {
+        if !matches!(resp.result, Ok(RespBody::Done)) {
+            return;
+        }
+        if self.map.insert(resp.id, resp.clone()).is_none() {
+            self.order.push_back(resp.id);
+            if self.order.len() > REPLY_CACHE_CAP {
+                if let Some(old) = self.order.pop_front() {
+                    self.map.remove(&old);
+                }
+            }
         }
     }
 }
@@ -278,19 +304,15 @@ pub struct Controlet {
     /// an explicit bootstrap.
     pub(crate) info: Option<ShardInfo>,
     pub(crate) serving: bool,
-    /// Monotonic write-version source, shared with the write combiner;
-    /// rebased on every epoch change so versions stay monotonic across
-    /// failovers and transitions.
-    pub(crate) versions: Arc<VersionSource>,
+    /// Next write version to issue; rebased on every epoch change so
+    /// versions stay monotonic across failovers and transitions.
+    pub(crate) next_version: Version,
     /// Highest replication sequence applied locally (reported in
     /// heartbeats; used for master election).
     pub(crate) applied_seq: u64,
     pub(crate) pending: HashMap<RequestId, Pending>,
     /// MS+SC: in-flight chain writes not yet acked by the tail.
     pub(crate) in_flight: BTreeMap<Version, (RequestId, LogEntry)>,
-    /// MS+SC group commit: writes ordered and applied locally but not yet
-    /// pushed down the chain. Flushed by size threshold or timer.
-    pub(crate) chain_batch: Vec<(RequestId, LogEntry)>,
     /// Read-fast-path gate published to edge threads (see [`crate::serving`]).
     pub(crate) gate: Arc<crate::serving::ServingState>,
     /// Keys with in-flight chain writes, shared with edge threads so
@@ -326,48 +348,25 @@ pub struct Controlet {
     /// Requests this controlet relayed to another controlet (P2P routing):
     /// rid -> original client.
     pub(crate) relayed: HashMap<RequestId, Addr>,
-    /// Reply cache for completed writes, shared with the write combiner:
-    /// a client retry of a write we already acked must be answered from
-    /// here, not executed again — a re-execution would commit the same
-    /// payload under a fresh version and resurrect it over writes that
-    /// landed in between.
-    pub(crate) replies: Arc<ReplyCache>,
-    /// The flat-combining write path (see [`crate::oplog`]): edge threads
-    /// park PUT/DEL ops here and one combiner applies them to the shared
-    /// datalet; this actor drains the combined batches and replicates
-    /// each as a single `ChainPutBatch` / propagation append.
-    pub(crate) oplog: Arc<OpLog>,
+    /// Completed-write replies, for exactly-once across client retries.
+    pub(crate) replies: ReplyCache,
 }
 
 impl Controlet {
     /// Creates a controlet that learns its configuration from the
     /// coordinator (sends `GetShardMap` at start).
     pub fn new(cfg: ControletConfig, datalet: Arc<dyn Datalet>) -> Self {
-        let dirty = Arc::new(crate::serving::DirtySet::new());
-        let versions = Arc::new(VersionSource::new(1));
-        let replies = Arc::new(ReplyCache::new());
-        let oplog = Arc::new(OpLog::new(
-            Arc::clone(&datalet),
-            Arc::clone(&dirty),
-            Arc::clone(&versions),
-            Arc::clone(&replies),
-            cfg.recorder.clone(),
-            cfg.node,
-            cfg.shard,
-            cfg.overload.head_window,
-        ));
         Controlet {
             cfg,
             datalet,
             info: None,
             serving: false,
-            versions,
+            next_version: 1,
             applied_seq: 0,
             pending: HashMap::new(),
             in_flight: BTreeMap::new(),
-            chain_batch: Vec::new(),
             gate: Arc::new(crate::serving::ServingState::new()),
-            dirty,
+            dirty: Arc::new(crate::serving::DirtySet::new()),
             prop: PropState::new(),
             prop_applied: 0,
             prop_epoch: 0,
@@ -382,8 +381,7 @@ impl Controlet {
             transition: None,
             cluster_map: None,
             relayed: HashMap::new(),
-            replies,
-            oplog,
+            replies: ReplyCache::default(),
         }
     }
 
@@ -436,27 +434,20 @@ impl Controlet {
         Arc::clone(&self.dirty)
     }
 
-    /// The write-combining op log edge threads publish PUT/DEL ops into
-    /// (see [`crate::oplog`]).
-    pub fn oplog(&self) -> Arc<OpLog> {
-        Arc::clone(&self.oplog)
+    /// Whether this node is still catching up on a shard it joined:
+    /// pulling the snapshot, or draining the source's delta feed after it.
+    /// Either way it may lack a write its peers already acked, so it must
+    /// not answer clients yet.
+    pub(crate) fn catching_up(&self) -> bool {
+        self.recovery.is_some() || self.recovery_delta.is_some()
     }
 
     /// Recomputes and publishes the fast-path gate word. Must be called
-    /// after any change to `serving`, `info`, `recovery`, or `transition`.
+    /// after any change to `serving`, `info`, `recovery`,
+    /// `recovery_delta`, or `transition`.
     pub(crate) fn publish_serving(&self) {
-        let quiesced =
-            !self.serving || self.recovery.is_some() || self.transition.is_some();
+        let quiesced = !self.serving || self.catching_up() || self.transition.is_some();
         self.gate.publish(self.info.as_ref(), self.cfg.node, quiesced);
-        // The write gate additionally closes while a recovery feed is
-        // active: combiner applies bypass `apply_entry`, so they would be
-        // recorded into the feed only at drain time — closing write
-        // ingress while a fuzzy snapshot streams keeps the feed ordering
-        // identical to the actor path.
-        let w_quiesced = quiesced || !self.recovery_feeds.is_empty();
-        self.oplog
-            .gate()
-            .publish(self.info.as_ref(), self.cfg.node, w_quiesced);
     }
 
     /// Records a chain write as in flight, marking its key dirty for the
@@ -467,25 +458,6 @@ impl Controlet {
             self.dirty.mark(&entry.key);
         }
         self.in_flight.insert(version, (rid, entry));
-        self.oplog.publish_head_inflight(self.in_flight.len());
-    }
-
-    /// Records a chain write that the combiner already applied (and whose
-    /// key it already dirty-marked, mark-before-apply). Only tracks the
-    /// in-flight entry; marking again here would leak a dirty count.
-    pub(crate) fn track_in_flight_premarked(
-        &mut self,
-        version: Version,
-        rid: RequestId,
-        entry: LogEntry,
-    ) {
-        if self.in_flight.contains_key(&version) {
-            // Already tracked (cannot normally happen: combiner versions
-            // are unique) — the combiner's mark is surplus, balance it.
-            self.dirty.unmark(&entry.key);
-        }
-        self.in_flight.insert(version, (rid, entry));
-        self.oplog.publish_head_inflight(self.in_flight.len());
     }
 
     /// Retires an in-flight chain write, clearing its dirty mark.
@@ -497,7 +469,6 @@ impl Controlet {
         if let Some((_, entry)) = &removed {
             self.dirty.unmark(&entry.key);
         }
-        self.oplog.publish_head_inflight(self.in_flight.len());
         removed
     }
 
@@ -508,14 +479,18 @@ impl Controlet {
     }
 
     /// Installs a (newer) shard configuration and rebases the version
-    /// counter so writes ordered under the new epoch supersede the old.
+    /// counter so writes ordered under the new epoch supersede the old:
+    /// every version issued afterwards exceeds anything issued under
+    /// earlier epochs, and an older epoch never moves it back.
     pub(crate) fn adopt_info(&mut self, info: ShardInfo) {
-        self.versions.rebase(info.epoch);
+        self.next_version = self.next_version.max(((info.epoch + 1) << 40) + 1);
         self.info = Some(info);
     }
 
     pub(crate) fn fresh_version(&mut self) -> Version {
-        self.versions.fresh()
+        let v = self.next_version;
+        self.next_version += 1;
+        v
     }
 
     /// Remaining deadline budget carried on outgoing replication batches:
@@ -596,10 +571,6 @@ impl Controlet {
 
     pub(crate) fn respond(&mut self, reply: ReplyPath, resp: Response, ctx: &mut Context) {
         self.replies.record(&resp);
-        // Every answered rid leaves the combiner's exactly-once window:
-        // releasing here (not just on combined paths) keeps the guard
-        // covering enqueue → reply regardless of which path answered.
-        self.oplog.release(resp.id);
         match reply {
             ReplyPath::Client(addr) => ctx.send(addr, NetMsg::ClientResp(resp)),
             ReplyPath::Relay(addr) => {
@@ -709,188 +680,6 @@ impl Controlet {
             (Topology::ActiveActive, _) => Some(self.cfg.node),
         }
     }
-
-    // --- write combining ----------------------------------------------------
-
-    /// Rebuilds the client request a combined write originated from, for
-    /// re-routing a batch through the normal actor path.
-    fn combined_request(w: &CombinedWrite) -> Request {
-        let op = match &w.entry.value {
-            Some(v) => Op::Put {
-                key: w.entry.key.clone(),
-                value: v.clone(),
-            },
-            None => Op::Del {
-                key: w.entry.key.clone(),
-            },
-        };
-        let mut req = Request::new(w.rid, op);
-        req.table = w.entry.table.clone();
-        req.deadline = w.deadline;
-        req
-    }
-
-    /// Drains the write combiner: force-combines whatever is parked in the
-    /// enqueue slots (serializing behind any in-flight edge combine) and
-    /// processes every handed-off batch. Runs on the flush timers, on a
-    /// [`ReplMsg::CombinerNudge`], and at every quiesce point (transition
-    /// entry, recovery-feed start, combined-retry joins).
-    pub(crate) fn drain_combined(&mut self, ctx: &mut Context) {
-        self.oplog.force_combine(ctx.now());
-        while let Some(batch) = self.oplog.pop_batch() {
-            self.process_combined(batch, ctx);
-        }
-        self.check_transition_drained(ctx);
-    }
-
-    /// Processes one combined batch.
-    ///
-    /// An *applied* batch (write gate OPEN at combine time) is already in
-    /// the shared datalet in version order; the actor takes over
-    /// replication — one `ChainPutBatch` to the chain successor (MS+SC)
-    /// or propagation-buffer appends (MS+EC) — so it does O(batches) work
-    /// for O(writes) client ops. An *unapplied* batch (the gate slammed
-    /// shut between enqueue and combine) carries untouched requests,
-    /// which are re-routed through the normal client path.
-    fn process_combined(&mut self, batch: CombinedBatch, ctx: &mut Context) {
-        // Combiner applies bypass `apply_entry`, so an active recovery
-        // feed never saw these writes; record them now under the same
-        // member-freeze rule. (The write gate closes while feeds are
-        // active, so this only covers batches combined before the feed
-        // was created.)
-        if batch.applied && !self.recovery_feeds.is_empty() {
-            let info = self.info.clone();
-            for (&requester, feed) in self.recovery_feeds.iter_mut() {
-                let member = info
-                    .as_ref()
-                    .map(|i| i.position(NodeId(requester.0)).is_some())
-                    .unwrap_or(false);
-                if !member {
-                    for w in &batch.writes {
-                        feed.entries.push(w.entry.clone());
-                    }
-                }
-            }
-        }
-        // Combine-time deadline rejects owe an explicit reply (never a
-        // silent drop), with the actor path's shed accounting.
-        for &(rid, reply_to) in &batch.rejects {
-            self.cfg
-                .counters
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
-            self.reply_err(ReplyPath::Client(reply_to), rid, KvError::Overloaded, ctx);
-        }
-        // Head-window sheds (the combiner admitted only what fit under the
-        // in-flight bound): same explicit reply, with the actor path's
-        // head-window accounting. These ops were never applied.
-        for &(rid, reply_to) in &batch.window_sheds {
-            self.cfg
-                .counters
-                .head_window_shed
-                .fetch_add(1, Ordering::Relaxed);
-            self.reply_err(ReplyPath::Client(reply_to), rid, KvError::Overloaded, ctx);
-        }
-        if batch.writes.is_empty() {
-            return;
-        }
-        let fast = batch.applied
-            && self.serving
-            && self.transition.is_none()
-            && self.recovery.is_none()
-            && self.info.as_ref().is_some_and(|i| {
-                i.mode.topology == Topology::MasterSlave && i.head() == Some(self.cfg.node)
-            });
-        if !fast {
-            // Either the gate was closed at combine time (nothing was
-            // applied), or this node's role changed between combine and
-            // drain (demotion, transition entry, recovery). Re-route every
-            // op through the normal client path: forwarding, WrongNode
-            // hints and NotServing replies all come out right, and a stray
-            // combiner apply is superseded by the re-executed write's
-            // higher version (versions are last-writer-wins).
-            for w in &batch.writes {
-                if batch.chain_marked {
-                    self.dirty.unmark(&w.entry.key);
-                }
-                // Release before re-routing so the retry-join check in
-                // `handle_client` doesn't see its own rid and recurse.
-                self.oplog.release(w.rid);
-                let req = Self::combined_request(w);
-                self.handle_client(req, ReplyPath::Client(w.reply_to), ctx);
-            }
-            return;
-        }
-        let info = self.info.clone().expect("fast path checked info");
-        match info.mode.consistency {
-            Consistency::Strong => {
-                let Some(successor) = info.successor(self.cfg.node) else {
-                    // Single-replica chain: the combiner's apply was the
-                    // commit; ack straight back.
-                    for w in &batch.writes {
-                        if batch.chain_marked {
-                            self.dirty.unmark(&w.entry.key);
-                        }
-                        self.applied_seq = self.applied_seq.max(w.entry.version);
-                        let resp = Response::ok(w.rid, RespBody::Done);
-                        self.respond(ReplyPath::Client(w.reply_to), resp, ctx);
-                    }
-                    return;
-                };
-                let mut items = Vec::with_capacity(batch.writes.len());
-                for w in &batch.writes {
-                    self.pending.insert(
-                        w.rid,
-                        Pending {
-                            reply: ReplyPath::Client(w.reply_to),
-                            req: Self::combined_request(w),
-                            awaiting: Default::default(),
-                            fencing: 0,
-                        },
-                    );
-                    if batch.chain_marked {
-                        self.track_in_flight_premarked(w.entry.version, w.rid, w.entry.clone());
-                    } else {
-                        // Combined while the chain had one replica, and it
-                        // grew before the drain: mark now.
-                        self.track_in_flight(w.entry.version, w.rid, w.entry.clone());
-                    }
-                    self.applied_seq = self.applied_seq.max(w.entry.version);
-                    items.push((w.rid, w.entry.clone()));
-                }
-                // The whole batch goes down the chain as ONE group-commit
-                // message, bypassing `chain_batch` (it is already ordered
-                // and applied; receivers are version-guarded, so ordering
-                // across in-flight batches is safe).
-                let budget = self.repl_budget(ctx.now());
-                ctx.send(
-                    Self::addr_of(successor),
-                    NetMsg::Repl(ReplMsg::ChainPutBatch {
-                        shard: self.cfg.shard,
-                        epoch: info.epoch,
-                        budget,
-                        items,
-                    }),
-                );
-            }
-            Consistency::Eventual => {
-                for w in &batch.writes {
-                    if batch.chain_marked {
-                        // Combined under a Strong config that switched to
-                        // EC before the drain: no chain interval exists,
-                        // balance the combiner's mark.
-                        self.dirty.unmark(&w.entry.key);
-                    }
-                    let seq = self.prop.next_seq;
-                    self.prop.next_seq += 1;
-                    self.prop.buffer.insert(seq, w.entry.clone());
-                    self.applied_seq = self.applied_seq.max(seq);
-                    let resp = Response::ok(w.rid, RespBody::Done);
-                    self.respond(ReplyPath::Client(w.reply_to), resp, ctx);
-                }
-            }
-        }
-    }
 }
 
 impl Actor for Controlet {
@@ -965,16 +754,8 @@ impl Controlet {
                 ctx.set_timer(self.cfg.heartbeat_every, HEARTBEAT_TIMER);
             }
             PROP_FLUSH_TIMER => {
-                // Combined batches ride the flush cadence even when a
-                // nudge was lost: drain first so this flush carries them.
-                self.drain_combined(ctx);
                 self.flush_propagation(ctx);
                 ctx.set_timer(self.cfg.prop_flush_every, PROP_FLUSH_TIMER);
-            }
-            CHAIN_FLUSH_TIMER => {
-                self.drain_combined(ctx);
-                self.flush_chain_batch(ctx);
-                ctx.set_timer(self.cfg.chain_flush_every, CHAIN_FLUSH_TIMER);
             }
             LOG_POLL_TIMER => {
                 self.poll_shared_log(ctx);
@@ -1017,6 +798,5 @@ impl Controlet {
         // armed is the simplest correct choice.
         ctx.set_timer(self.cfg.prop_flush_every, PROP_FLUSH_TIMER);
         ctx.set_timer(self.cfg.log_poll_every, LOG_POLL_TIMER);
-        ctx.set_timer(self.cfg.chain_flush_every, CHAIN_FLUSH_TIMER);
     }
 }

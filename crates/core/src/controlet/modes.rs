@@ -24,26 +24,11 @@ impl Controlet {
     pub(crate) fn handle_client(&mut self, req: Request, reply: ReplyPath, ctx: &mut Context) {
         // Exactly-once across client retries: a write this controlet
         // already acked is answered from the reply cache, never executed
-        // again (see `replies`; the cache is shared with the write
-        // combiner, which performs the same check before enqueueing).
+        // again (see `replies`).
         if matches!(req.op, Op::Put { .. } | Op::Del { .. }) {
             if let Some(resp) = self.replies.get(req.id) {
                 self.respond(reply, resp, ctx);
                 return;
-            }
-            // A retry of a write that is parked somewhere in the combiner
-            // pipeline (slot, handoff, or post-drain replication) must
-            // join the original, never be ordered a second time — a
-            // re-order commits the same payload under a fresh version and
-            // can resurrect it over writes that landed in between. Drain
-            // the combiner so the write lands in the normal pending
-            // tables, then fall through to the in-flight retry paths.
-            if self.oplog.tracks(req.id) {
-                self.drain_combined(ctx);
-                if let Some(resp) = self.replies.get(req.id) {
-                    self.respond(reply, resp, ctx);
-                    return;
-                }
             }
         }
         // Deadline propagation: work whose deadline already passed is shed
@@ -58,7 +43,7 @@ impl Controlet {
             self.reply_err(reply, id, KvError::Overloaded, ctx);
             return;
         }
-        if !self.serving || self.recovery.is_some() {
+        if !self.serving || self.catching_up() {
             let id = req.id;
             self.reply_err(reply, id, KvError::NotServing, ctx);
             return;
@@ -275,7 +260,7 @@ impl Controlet {
             self.reply_err(reply, id, KvError::Rejected("not a write".into()), ctx);
             return;
         };
-        if info.replicas.len() == 1 {
+        let Some(successor) = info.successor(self.cfg.node) else {
             // Single-replica chain: head is also tail; the apply is the
             // commit, no dirty interval exists.
             self.apply_entry(&entry, ctx);
@@ -283,8 +268,7 @@ impl Controlet {
             let resp = Response::ok(req.id, RespBody::Done);
             self.respond(reply, resp, ctx);
             return;
-        }
-        self.oplog.claim_for_actor(req.id);
+        };
         self.pending.insert(
             req.id,
             Pending {
@@ -300,35 +284,8 @@ impl Controlet {
         self.track_in_flight(version, req.id, entry.clone());
         self.apply_entry(&entry, ctx);
         self.applied_seq = self.applied_seq.max(version);
-        // Group commit: buffer the write and push a whole batch down the
-        // chain when the buffer fills or the flush timer fires (mirrors the
-        // MS+EC propagation batching).
-        self.chain_batch.push((req.id, entry));
-        if self.chain_batch.len() >= self.cfg.chain_batch_max {
-            self.flush_chain_batch(ctx);
-        }
-    }
-
-    /// Pushes the buffered chain writes to the successor as one
-    /// `ChainPutBatch`. No-op off the head; a reconfiguration that demotes
-    /// this node relies on `resend_in_flight` for re-propagation (every
-    /// buffered entry is also tracked in `in_flight`).
-    pub(crate) fn flush_chain_batch(&mut self, ctx: &mut Context) {
-        if self.chain_batch.is_empty() {
-            return;
-        }
-        let Some(info) = self.info.clone() else { return };
-        if info.head() != Some(self.cfg.node) {
-            self.chain_batch.clear();
-            return;
-        }
-        let Some(successor) = info.successor(self.cfg.node) else {
-            // Chain shrank to one: `resend_in_flight` (triggered by the
-            // same reconfiguration) commits and acks everything in flight.
-            self.chain_batch.clear();
-            return;
-        };
-        let items = std::mem::take(&mut self.chain_batch);
+        // The write goes down the chain at once; the tail acks whole
+        // batches, so a one-item `ChainPutBatch` is the unit on the wire.
         let budget = self.repl_budget(ctx.now());
         ctx.send(
             Self::addr_of(successor),
@@ -336,7 +293,7 @@ impl Controlet {
                 shard: self.cfg.shard,
                 epoch: info.epoch,
                 budget,
-                items,
+                items: vec![(req.id, entry)],
             }),
         );
     }
@@ -530,13 +487,9 @@ impl Controlet {
         if info.head() != Some(self.cfg.node) {
             return;
         }
-        // Buffered-but-unflushed writes are all tracked in `in_flight`;
-        // drop the buffer so the resend below doesn't double-send them.
-        self.chain_batch.clear();
         let Some(successor) = info.successor(self.cfg.node) else {
             // Chain of one: everything in flight is trivially committed.
             let committed: Vec<_> = std::mem::take(&mut self.in_flight).into_values().collect();
-            self.oplog.publish_head_inflight(0);
             for (_, entry) in &committed {
                 self.dirty.unmark(&entry.key);
             }
@@ -1232,12 +1185,6 @@ impl Controlet {
                 {
                     ctx.send(client, NetMsg::ClientResp(resp));
                 }
-            }
-            ReplMsg::CombinerNudge { .. } => {
-                // An edge thread combined a batch and parked it in the
-                // handoff queue; drain it now instead of waiting for the
-                // next flush timer.
-                self.drain_combined(ctx);
             }
             ReplMsg::RecoveryReq {
                 shard,

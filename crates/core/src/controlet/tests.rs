@@ -82,7 +82,7 @@ fn non_writer_rejects_writes_with_hint() {
 }
 
 #[test]
-fn chain_head_applies_locally_and_batches_down() {
+fn chain_head_applies_locally_and_sends_one_batch_at_once() {
     let mut head = controlet(0, Mode::MS_SC, &[0, 1, 2]);
     let actions = drive(&mut head, client_put(0, "k", "v"));
     // Applied locally before forwarding.
@@ -90,51 +90,21 @@ fn chain_head_applies_locally_and_batches_down() {
         head.datalet().get(DEFAULT_TABLE, &Key::from("k")).unwrap().value,
         Value::from("v")
     );
-    // Group commit: the write sits in the batch buffer until a flush.
-    assert!(sent_to(&actions).is_empty(), "buffered, not sent per-write");
-    assert_eq!(head.chain_batch.len(), 1);
-    assert_eq!(head.pending.len(), 1);
-    assert_eq!(head.in_flight.len(), 1);
-    // The flush timer pushes one batch to the successor.
-    let actions = drive(&mut head, Event::Timer { token: super::CHAIN_FLUSH_TIMER });
+    // The same event pushes the write to the successor as a one-item
+    // batch: no buffer, no flush timer.
     let sends = sent_to(&actions);
     assert_eq!(sends.len(), 1, "exactly one chain forward");
     assert_eq!(sends[0].0, Addr(1), "to the successor");
     match sends[0].1 {
-        NetMsg::Repl(ReplMsg::ChainPutBatch { items, .. }) => assert_eq!(items.len(), 1),
-        other => panic!("expected ChainPutBatch, got {other:?}"),
-    }
-    assert!(head.chain_batch.is_empty());
-    // No reply yet: the client waits for the tail ack.
-    assert_eq!(head.pending.len(), 1);
-    assert_eq!(head.in_flight.len(), 1);
-}
-
-#[test]
-fn chain_batch_flushes_on_size_threshold() {
-    let mut cfg = ControletConfig::new(NodeId(0), ShardId(0), COORD);
-    cfg.chain_batch_max = 3;
-    let mut head =
-        Controlet::with_info(cfg, EngineKind::THt.build(), info(Mode::MS_SC, &[0, 1, 2]));
-    assert!(sent_to(&drive(&mut head, client_put(0, "a", "1"))).is_empty());
-    assert!(sent_to(&drive(&mut head, client_put(1, "b", "2"))).is_empty());
-    // The third write fills the buffer and forces an immediate flush.
-    let actions = drive(&mut head, client_put(2, "c", "3"));
-    let sends = sent_to(&actions);
-    assert_eq!(sends.len(), 1);
-    match sends[0].1 {
         NetMsg::Repl(ReplMsg::ChainPutBatch { items, epoch, .. }) => {
-            assert_eq!(items.len(), 3, "whole buffer in one message");
+            assert_eq!(items.len(), 1);
             assert_eq!(*epoch, 1);
-            let versions: Vec<u64> = items.iter().map(|(_, e)| e.version).collect();
-            let mut sorted = versions.clone();
-            sorted.sort_unstable();
-            assert_eq!(versions, sorted, "batch preserves version order");
         }
         other => panic!("expected ChainPutBatch, got {other:?}"),
     }
-    assert!(head.chain_batch.is_empty());
-    assert_eq!(head.in_flight.len(), 3, "still awaiting the tail acks");
+    // No reply yet: the client waits for the tail ack.
+    assert_eq!(head.pending.len(), 1);
+    assert_eq!(head.in_flight.len(), 1);
 }
 
 fn entry_v(key: &str, val: &str, version: u64) -> LogEntry {
@@ -219,7 +189,6 @@ fn duplicated_and_reordered_chain_batches_are_safe() {
     let mut head = controlet(0, Mode::MS_SC, &[0, 1, 2]);
     drive(&mut head, client_put(0, "a", "1"));
     drive(&mut head, client_put(1, "b", "2"));
-    drive(&mut head, Event::Timer { token: super::CHAIN_FLUSH_TIMER });
     assert_eq!(head.in_flight.len(), 2);
     let versions: Vec<u64> = head.in_flight.keys().copied().collect();
     let rids: Vec<RequestId> = head.in_flight.values().map(|(r, _)| *r).collect();
@@ -286,9 +255,7 @@ fn chain_writes_mark_keys_dirty_until_acked() {
     let mut head = controlet(0, Mode::MS_SC, &[0, 1, 2]);
     let dirty = head.dirty_keys();
     drive(&mut head, client_put(0, "k", "v"));
-    assert!(dirty.is_dirty(&Key::from("k")), "in-flight write must mark dirty");
-    drive(&mut head, Event::Timer { token: super::CHAIN_FLUSH_TIMER });
-    assert!(dirty.is_dirty(&Key::from("k")), "still dirty until the tail acks");
+    assert!(dirty.is_dirty(&Key::from("k")), "in-flight write must mark dirty until acked");
     let (version, (rid, _)) = head.in_flight.iter().next().map(|(v, p)| (*v, p.clone())).unwrap();
     drive(
         &mut head,
@@ -599,6 +566,24 @@ fn version_rebase_is_monotonic_across_epochs() {
         c.datalet().get(DEFAULT_TABLE, &Key::from("k")).unwrap().value,
         Value::from("v2")
     );
+    // Rebasing to an older epoch never moves the counter back.
+    c.adopt_info(info(Mode::MS_EC, &[0, 2]));
+    assert!(c.fresh_version() > v2, "an older epoch regressed the version counter");
+}
+
+#[test]
+fn reply_cache_keeps_done_replies_and_evicts_the_oldest() {
+    let mut cache = ReplyCache::default();
+    let rid = |seq| RequestId::compose(ClientId(9), seq);
+    cache.record(&Response::ok(rid(0), RespBody::Done));
+    cache.record(&Response::err(rid(1), KvError::Overloaded));
+    assert!(matches!(cache.get(rid(0)), Some(Response { result: Ok(RespBody::Done), .. })));
+    assert!(cache.get(rid(1)).is_none(), "errors are re-derived, not cached");
+    for seq in 2..=REPLY_CACHE_CAP as u32 + 1 {
+        cache.record(&Response::ok(rid(seq), RespBody::Done));
+    }
+    assert!(cache.get(rid(0)).is_none(), "the oldest reply is evicted past the cap");
+    assert!(cache.get(rid(2)).is_some());
 }
 
 #[test]
@@ -677,6 +662,64 @@ fn recovery_completion_reports_to_coordinator() {
         Value::from("state")
     );
     assert_eq!(standby.applied_seq, 42);
+}
+
+#[test]
+fn joiner_refuses_clients_until_the_delta_feed_drains() {
+    let cfg = ControletConfig::new(NodeId(5), ShardId(u32::MAX), COORD);
+    let mut joiner = Controlet::new(cfg, EngineKind::THt.build());
+    drive(
+        &mut joiner,
+        Event::Msg {
+            from: COORD,
+            msg: NetMsg::Coord(CoordMsg::StartRecovery {
+                shard: ShardId(0),
+                source: NodeId(1),
+                role_position: 2,
+                info: info(Mode::MS_SC, &[0, 1, 5]),
+            }),
+        },
+    );
+    let chunk = |from, entries, done| Event::Msg {
+        from: Addr(1),
+        msg: NetMsg::Repl(ReplMsg::RecoveryChunk {
+            shard: ShardId(0),
+            from,
+            advance: 0,
+            entries,
+            done,
+            snapshot_seq: 0,
+        }),
+    };
+    drive(&mut joiner, chunk(0, Vec::new(), true));
+    // Snapshot done, but a write the source applied while it streamed
+    // may still sit in the delta feed: the new tail must not answer yet.
+    let get = |seq| Event::Msg {
+        from: Addr(999),
+        msg: NetMsg::Client(Request::new(
+            RequestId::compose(ClientId(9), seq),
+            Op::Get { key: Key::from("k") },
+        )),
+    };
+    let actions = drive(&mut joiner, get(0));
+    assert!(matches!(
+        sent_to(&actions)[0].1,
+        NetMsg::ClientResp(Response { result: Err(KvError::NotServing), .. })
+    ));
+    assert!(!joiner.serving_gate().is_open(), "fast path open mid-drain");
+    // The feed delivers the missed write and reports itself drained.
+    drive(
+        &mut joiner,
+        chunk(super::RECOVERY_DELTA_FLAG, vec![entry_v("k", "missed", 7)], true),
+    );
+    assert!(joiner.serving_gate().is_open());
+    let actions = drive(&mut joiner, get(1));
+    match sent_to(&actions)[0].1 {
+        NetMsg::ClientResp(Response { result: Ok(RespBody::Value(v)), .. }) => {
+            assert_eq!(v.value, Value::from("missed"))
+        }
+        other => panic!("expected the drained write, got {other:?}"),
+    }
 }
 
 #[test]
@@ -874,42 +917,6 @@ fn full_head_window_sheds_new_writes() {
     // shed — shedding it would orphan the pending reply.
     drive(&mut head, client_put(0, "a", "1"));
     assert_eq!(head.cfg.counters.snapshot().head_window_shed, 1);
-}
-
-#[test]
-fn retry_of_actor_path_chain_write_is_never_recombined() {
-    // A write the actor ordered itself (it arrived off the combiner) sits
-    // in flight. Its retry, offered to the combiner, must fall back to the
-    // actor — whose join re-pushes the chain write — instead of being
-    // combined as a new write under a fresh version.
-    let mut head = controlet(0, Mode::MS_SC, &[0, 1, 2]);
-    drive(&mut head, client_put(0, "a", "1"));
-    let (&version, &(rid, _)) = head.in_flight.iter().next().expect("in flight");
-    let log = head.oplog();
-    assert!(log.gate().is_open(), "the retry really meets the combiner");
-    let retry = Request::new(
-        rid,
-        Op::Put {
-            key: Key::from("a"),
-            value: Value::from("1"),
-        },
-    );
-    assert!(log.submit(&retry, Addr(999), Instant::ZERO).is_none());
-    assert!(log.handoff_empty(), "retry was combined as a new write");
-    // The tail's ack answers the client and releases the rid.
-    drive(
-        &mut head,
-        Event::Msg {
-            from: Addr(1),
-            msg: NetMsg::Repl(ReplMsg::ChainAck {
-                shard: ShardId(0),
-                epoch: 1,
-                rid,
-                version,
-            }),
-        },
-    );
-    assert!(!log.tracks(rid));
 }
 
 #[test]

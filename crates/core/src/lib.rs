@@ -24,14 +24,9 @@
 pub mod client;
 pub mod config;
 pub mod controlet;
-pub mod oplog;
 pub mod serving;
 
 pub use client::{ClientCore, Completion};
 pub use config::{parse_datalet_hosts, ControlPlaneConfig, DataletHost};
 pub use controlet::{Controlet, ControletConfig, RecoveredLocal};
-pub use oplog::{
-    CombinedBatch, CombinedWrite, CombinerSnapshot, OpLog, ReplyCache, Submit, VersionSource,
-    WriteGate,
-};
 pub use serving::{DirtySet, ReadPermit, ServingState};

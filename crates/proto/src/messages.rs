@@ -191,13 +191,6 @@ pub enum ReplMsg {
         /// `(rid, version)` pairs the tail durably holds.
         items: Vec<(RequestId, Version)>,
     },
-    /// An edge thread combined a write batch into the shard's op log and
-    /// asks the owning controlet to drain it now rather than on the next
-    /// flush timer (latency hint; losing it only costs one timer period).
-    CombinerNudge {
-        /// Shard whose op log has a batch parked in the handoff queue.
-        shard: ShardId,
-    },
 }
 
 wire_enum!(ReplMsg {
@@ -213,7 +206,8 @@ wire_enum!(ReplMsg {
     9 => RecoveryChunk { shard, from, advance, entries, done, snapshot_seq },
     10 => ChainPutBatch { shard, epoch, budget, items },
     11 => ChainAckBatch { shard, epoch, items },
-    12 => CombinerNudge { shard },
+    // Tag 12 is retired (it carried a write-combiner drain hint); never
+    // reuse it, so a peer running older code cannot misread a new message.
 });
 
 /// Coordinator messages (controlet <-> coordinator, client <-> coordinator).
@@ -463,8 +457,7 @@ impl NetMsg {
                     ReplMsg::ChainAck { .. }
                     | ReplMsg::PropAck { .. }
                     | ReplMsg::PeerWriteAck { .. }
-                    | ReplMsg::RecoveryReq { .. }
-                    | ReplMsg::CombinerNudge { .. } => 8,
+                    | ReplMsg::RecoveryReq { .. } => 8,
                     ReplMsg::PropBatch { entries, .. }
                     | ReplMsg::RecoveryChunk { entries, .. } => {
                         entries.iter().map(LogEntry::wire_size).sum::<usize>() + 16
@@ -767,7 +760,6 @@ mod tests {
             epoch: 5,
             items: vec![(rid(), 42), (RequestId::compose(ClientId(2), 9), 43)],
         });
-        roundtrip(ReplMsg::CombinerNudge { shard: ShardId(2) });
     }
 
     #[test]

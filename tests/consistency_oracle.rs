@@ -12,9 +12,9 @@
 //!   linearizable *across* the switch (the paper promises no guarantee
 //!   regression during transitions), and the replicas must converge.
 //!
-//! Every cluster is served one way — read fast path, write combiner, skew
-//! engine and overload bounds — so every scenario runs with all of them in
-//! the history, at the tight limits below that make each one actually fire.
+//! Every cluster is served one way — read fast path, skew engine and
+//! overload bounds — so every scenario runs with all of them in the
+//! history, at the tight limits below that make each one actually fire.
 //!
 //! A final test injects a deliberate client-side stale-read bug and asserts
 //! the oracle flags it — proof the harness has teeth, not just green lights.
@@ -129,7 +129,7 @@ enum Load {
     /// the kill and repair through the fast path, sketch and cache.
     ReadHeavy,
     /// `Mixed` plus a third writer on an offset key cycle: more writes
-    /// contend for the head's one-deep window and the combiner's op log.
+    /// contend for the head's one-deep window.
     WriteHeavy,
 }
 
@@ -143,8 +143,6 @@ struct RunArtifacts {
     /// Fast-path serves / fallbacks across all nodes.
     fast_hits: u64,
     fast_fallbacks: u64,
-    /// Writes that went through the combiner.
-    combined_ops: u64,
     /// Skew-engine counters across all edges.
     skew: SkewSnapshot,
 }
@@ -175,8 +173,8 @@ fn run_fault_scenario(mode: Mode, seed: u64, load: Load) -> RunArtifacts {
             })
             .collect(),
     );
-    // Long enough that plenty of reads land after the first group-commit
-    // flush window (~1 ms) — early reads legitimately observe "absent".
+    // Long enough that plenty of reads land after the first writes commit
+    // — early reads legitimately observe "absent".
     let reader = cluster.add_script_client((0..48).map(|i| get(&k(i))).collect());
     let mut writers = vec![("writer_a", writer_a), ("writer_b", writer_b)];
     let mut readers = vec![("reader", reader)];
@@ -226,7 +224,6 @@ fn run_fault_scenario(mode: Mode, seed: u64, load: Load) -> RunArtifacts {
         .collect();
     let t = cluster.fast_path().expect("every cluster has a fast-path table");
     let (fast_hits, fast_fallbacks) = (t.total_hits(), t.total_fallbacks());
-    let combined_ops = t.combiner_snapshot().ops;
     let skew = cluster.skew_snapshot();
 
     if stall_enabled() {
@@ -250,7 +247,6 @@ fn run_fault_scenario(mode: Mode, seed: u64, load: Load) -> RunArtifacts {
         results,
         fast_hits,
         fast_fallbacks,
-        combined_ops,
         skew,
     }
 }
@@ -258,21 +254,6 @@ fn run_fault_scenario(mode: Mode, seed: u64, load: Load) -> RunArtifacts {
 fn check_mode_under_faults(mode: Mode, load: Load) {
     for seed in SEEDS {
         let run = run_fault_scenario(mode, seed, load);
-        if mode == Mode::MS_SC || mode == Mode::MS_EC {
-            // The head/master is the write ingress; its gate opens, so
-            // writes must actually flow through the combiner.
-            assert!(
-                run.combined_ops > 0,
-                "{mode:?} seed {seed}: no write combined"
-            );
-        } else {
-            // AA modes have no single write ingress: the write gate
-            // never opens and every write must fall back to the actor.
-            assert_eq!(
-                run.combined_ops, 0,
-                "{mode:?} seed {seed}: AA must never combine writes"
-            );
-        }
         // The fast path must actually carry reads — except under AA+SC,
         // where every Default read resolves to Strong and Strong is never
         // fast-path-eligible under AA.
@@ -391,22 +372,22 @@ fn oracle_aa_ec_fastpath_kill_rejoin_under_faults() {
 }
 
 // Same scenarios with a third writer: more writes contend for the head's
-// window and the combiner's op log, and the same oracle must hold.
+// window, and the same oracle must hold.
 
 #[test]
-fn oracle_ms_sc_write_combine_kill_rejoin_under_faults() {
+fn oracle_ms_sc_write_heavy_kill_rejoin_under_faults() {
     check_mode_under_faults(Mode::MS_SC, Load::WriteHeavy);
 }
 
 #[test]
-fn oracle_ms_ec_write_combine_kill_rejoin_under_faults() {
+fn oracle_ms_ec_write_heavy_kill_rejoin_under_faults() {
     check_mode_under_faults(Mode::MS_EC, Load::WriteHeavy);
 }
 
-/// Determinism gate for the whole stack — group commit, fault injection,
-/// fast path, combiner, skew engine and shedding together: the same spec
+/// Determinism gate for the whole stack — chain replication, fault
+/// injection, fast path, skew engine and shedding together: the same spec
 /// and seed must replay to bit-identical client results, replica contents,
-/// and fast-path, combiner and skew counters.
+/// and fast-path and skew counters.
 fn assert_same_seed_replays(load: Load, seed: u64) {
     let a = run_fault_scenario(Mode::MS_SC, seed, load);
     let b = run_fault_scenario(Mode::MS_SC, seed, load);
@@ -417,7 +398,6 @@ fn assert_same_seed_replays(load: Load, seed: u64) {
         (b.fast_hits, b.fast_fallbacks),
         "seed {seed}: fast-path counters diverged"
     );
-    assert_eq!(a.combined_ops, b.combined_ops, "seed {seed}: combiner diverged");
     assert_eq!(a.skew, b.skew, "seed {seed}: skew counters diverged");
     assert_eq!(a.acked_writes, b.acked_writes, "seed {seed}");
 }
@@ -430,17 +410,17 @@ fn oracle_fastpath_same_seed_runs_are_identical() {
 }
 
 #[test]
-fn oracle_write_combine_same_seed_runs_are_identical() {
+fn oracle_write_heavy_same_seed_runs_are_identical() {
     assert_same_seed_replays(Load::WriteHeavy, SEEDS[1]);
 }
 
-/// Killing the write ingress (the head) with writes mid-combine: the kill
-/// slams the write gate shut and deregisters the node, the unprocessed
-/// remainder of the op log dies with the controlet *unacked*, and every
-/// write that WAS acked — combined batches fully replicated before their
-/// acks — survives verbatim on every replica of the repaired chain.
+/// Killing the write ingress (the head) with writes in flight: the kill
+/// deregisters the node, writes it had not yet replicated die with the
+/// controlet *unacked*, and every write that WAS acked — replicated down
+/// the whole chain before its ack — survives verbatim on every replica of
+/// the repaired chain.
 #[test]
-fn oracle_write_combine_gate_close_on_kill_preserves_acked_writes() {
+fn oracle_head_kill_preserves_acked_writes() {
     let mut cluster = SimCluster::build(oracle_spec(Mode::MS_SC, 7));
     // Distinct keys, one sequential writer: an acked put is never
     // overwritten, so it must appear verbatim in the final state.
@@ -451,10 +431,14 @@ fn oracle_write_combine_gate_close_on_kill_preserves_acked_writes() {
     );
     cluster.run_for(Duration::from_millis(400));
     let t = std::sync::Arc::clone(cluster.fast_path().expect("fast-path table"));
-    assert!(
-        t.combiner_snapshot().ops > 0,
-        "head never combined a write before the kill"
-    );
+    let acked_before_kill = cluster
+        .sim
+        .actor_mut::<ScriptClient>(writer)
+        .results
+        .iter()
+        .filter(|r| r.is_ok())
+        .count();
+    assert!(acked_before_kill > 0, "head acked no write before the kill");
 
     cluster.kill_node(NodeId(0));
     assert!(
@@ -482,8 +466,8 @@ fn oracle_write_combine_gate_close_on_kill_preserves_acked_writes() {
         acked.len()
     );
 
-    // Zero lost acks: every acked combined put is present, with its exact
-    // value, on every replica of the repaired chain.
+    // Zero lost acks: every acked put is present, with its exact value, on
+    // every replica of the repaired chain.
     let replicas: Vec<(NodeId, BTreeMap<Key, Value>)> = cluster
         .dump_replicas(ShardId(0))
         .into_iter()
@@ -494,17 +478,17 @@ fn oracle_write_combine_gate_close_on_kill_preserves_acked_writes() {
             assert_eq!(
                 live.get(&Key::from(format!("wc{i}"))),
                 Some(&Value::from(format!("v{i}"))),
-                "replica {node} lost acked combined write wc{i}"
+                "replica {node} lost acked write wc{i}"
             );
         }
     }
-    // And the recorded history, combiner in the path, still linearizes —
-    // no duplicated or resurrected acked write either.
+    // And the recorded history still linearizes — no duplicated or
+    // resurrected acked write either.
     let recorder = cluster.history().expect("history enabled").clone();
     let lin = check_linearizable(&recorder.events(), &BTreeMap::new());
     assert!(
         lin.ok(),
-        "combined history not linearizable: {:#?}",
+        "history not linearizable: {:#?}",
         lin.violations
     );
 }
