@@ -8,6 +8,8 @@ cargo build --release
 # cluster, core, datalet ... unit and integration tests live there.
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
+# Docs build clean: a deleted item leaves no dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The frozen benchmark is a package of its own (BENCHMARK.json runs it):
 # an API change that breaks it must fail here, not in the pipeline.

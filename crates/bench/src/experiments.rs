@@ -838,81 +838,20 @@ pub fn table_eng(_scale: Scale) -> Report {
     r
 }
 
-/// Ablations of the design choices DESIGN.md calls out: propagation batch
-/// period (MS+EC), DLM lease length (AA+SC), consistent-hash virtual-node
-/// count (load balance), and chain length (MS+SC write latency).
+/// Ablations of the design choices DESIGN.md calls out: consistent-hash
+/// virtual-node count (load balance) and chain length (MS+SC write
+/// latency). The MS+EC propagation period and the AA+SC DLM lease were
+/// swept here too; both were flat, so they are constants now
+/// (EXPERIMENTS.md, "Ablations").
 pub fn ablations(scale: Scale) -> Report {
     let mut r = Report::new(
         "ablations",
-        "Design-choice ablations (propagation period, DLM lease, vnodes, chain length)",
+        "Design-choice ablations (vnodes, chain length)",
         ("x", "kQPS", "mean ms"),
     );
     let warmup = scale.warmup();
     let window = scale.window();
-    // 1. MS+EC propagation flush period: larger batches cut replication
-    //    CPU but stretch the staleness window.
-    for flush_us in [500u64, 2_000, 8_000, 32_000] {
-        let mut spec = ClusterSpec::new(2, 3, Mode::MS_EC);
-        spec.prop_flush_every = Duration::from_micros(flush_us);
-        let mut cluster = SimCluster::build(spec);
-        let wl_cfg = WorkloadConfig {
-            num_keys: 20_000,
-            ..WorkloadConfig::small(Mix::UPDATE_INTENSIVE, Distribution::Uniform)
-        };
-        let base = Workload::new(wl_cfg.clone());
-        let mut loader = base.fork(0x10AD);
-        cluster.preload((0..wl_cfg.num_keys).map(|i| (loader.key_at(i), loader.value(i))));
-        for c in 0..6u64 {
-            let mut w = base.fork(c + 1);
-            cluster.add_client(
-                Box::new(move || (w.next_op(), String::new(), ConsistencyLevel::Default)),
-                16,
-                warmup,
-                Duration::from_millis(500),
-            );
-        }
-        cluster.run_for(warmup + window);
-        let stats = cluster.collect_stats(window);
-        r.rows.push(Row::with_latency(
-            "ms+ec prop flush period (us)",
-            flush_us as f64,
-            stats.kqps(),
-            stats.mean_latency_ms(),
-        ));
-    }
-    // 2. DLM lease length under AA+SC: long leases hurt nobody while
-    //    holders live; the cost shows on failures (not swept here) — but
-    //    the sweep verifies throughput is lease-insensitive.
-    for lease_ms in [100u64, 500, 2000] {
-        let mut spec = ClusterSpec::new(1, 3, Mode::AA_SC);
-        spec.dlm_lease = Duration::from_millis(lease_ms);
-        let mut cluster = SimCluster::build(spec);
-        let wl_cfg = WorkloadConfig {
-            num_keys: 20_000,
-            ..WorkloadConfig::small(Mix::UPDATE_INTENSIVE, Distribution::Uniform)
-        };
-        let base = Workload::new(wl_cfg.clone());
-        let mut loader = base.fork(0x10AD);
-        cluster.preload((0..wl_cfg.num_keys).map(|i| (loader.key_at(i), loader.value(i))));
-        for c in 0..4u64 {
-            let mut w = base.fork(c + 1);
-            cluster.add_client(
-                Box::new(move || (w.next_op(), String::new(), ConsistencyLevel::Default)),
-                8,
-                warmup,
-                Duration::from_millis(500),
-            );
-        }
-        cluster.run_for(warmup + window);
-        let stats = cluster.collect_stats(window);
-        r.rows.push(Row::with_latency(
-            "aa+sc dlm lease (ms)",
-            lease_ms as f64,
-            stats.kqps(),
-            stats.mean_latency_ms(),
-        ));
-    }
-    // 3. Virtual-node count: shard load balance of the hash ring
+    // 1. Virtual-node count: shard load balance of the hash ring
     //    (reported as max/min keys per shard over a uniform keyspace).
     for vnodes in [1u32, 4, 16, 64, 256] {
         let map = bespokv_types::ShardMap::dense(
@@ -934,7 +873,7 @@ pub fn ablations(scale: Scale) -> Report {
             max / min.max(1.0),
         ));
     }
-    // 4. Chain length: MS+SC write latency grows with the chain.
+    // 2. Chain length: MS+SC write latency grows with the chain.
     for repl in [1u32, 2, 3, 5, 7] {
         let mut cluster = SimCluster::build(ClusterSpec::new(1, repl, Mode::MS_SC));
         let wl_cfg = WorkloadConfig {
@@ -958,6 +897,6 @@ pub fn ablations(scale: Scale) -> Report {
             stats.mean_latency_ms(),
         ));
     }
-    r.note("expect: bigger prop batches help write throughput slightly; AA+SC insensitive to lease; imbalance shrinks with vnodes; chain latency grows ~linearly with length");
+    r.note("expect: imbalance shrinks with vnodes; chain latency grows ~linearly with length");
     r
 }

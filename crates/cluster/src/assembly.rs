@@ -34,6 +34,14 @@ use bespokv_types::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// DLM lock lease (AA+SC). Throughput does not depend on it (25.01 kQPS at
+/// 100 ms, 500 ms and 2 s; EXPERIMENTS.md, "Ablations"): it only bounds how
+/// long a dead holder blocks a key.
+const DLM_LEASE: Duration = Duration::from_millis(500);
+
+/// How often the DLM sweeps for expired leases.
+const DLM_SWEEP: Duration = Duration::from_millis(50);
+
 /// The handles every controlet of one deployment is configured with.
 pub(crate) struct Wiring<'a> {
     pub spec: &'a ClusterSpec,
@@ -60,9 +68,6 @@ impl Wiring<'_> {
         cfg.dlm = Some(self.dlm);
         cfg.shared_log = Some(self.shared_logs[log % self.shared_logs.len()]);
         cfg.cost = cost_for(engine);
-        cfg.heartbeat_every = spec.heartbeat_every;
-        cfg.prop_flush_every = spec.prop_flush_every;
-        cfg.log_poll_every = spec.log_poll_every;
         cfg.recorder = self.recorder.clone();
         cfg.counters = Arc::clone(self.counters);
         cfg.overload = spec.overload;
@@ -88,8 +93,8 @@ pub(crate) fn fast_path_handle(
 }
 
 /// A scripted client of either runtime: `core` plus the cluster's history
-/// recorder, overload budget and hot-read spreading, over the shared
-/// fast-path table.
+/// recorder, P2P routing, overload budget and hot-read spreading, over the
+/// shared fast-path table.
 pub(crate) fn script_client(
     spec: &ClusterSpec,
     mut core: ClientCore,
@@ -101,6 +106,9 @@ pub(crate) fn script_client(
     if let Some(rec) = recorder {
         core = core.with_history(rec.clone());
     }
+    if spec.p2p {
+        core = core.with_p2p(p2p_targets(spec));
+    }
     // The client half of the skew engine reports into the same counter
     // set as the edge half, so harness assertions see both routing and
     // caching decisions in one snapshot.
@@ -108,6 +116,11 @@ pub(crate) fn script_client(
         .with_overload(spec.overload, Arc::clone(counters))
         .with_skew(spec.skew, table.skew().counters());
     ScriptClient::new(core, script, Arc::clone(table))
+}
+
+/// Under P2P routing a client may send any request to any controlet.
+pub(crate) fn p2p_targets(spec: &ClusterSpec) -> Vec<NodeId> {
+    (0..spec.num_nodes()).map(NodeId).collect()
 }
 
 /// What [`assemble`] built, for the cluster handle of either runtime.
@@ -216,10 +229,7 @@ pub(crate) fn assemble(
         coord.core_mut().add_standby(NodeId(num_nodes + i));
     }
     assert_eq!(spawn(Box::new(coord)), coordinator);
-    let got = spawn(Box::new(DlmActor::new(
-        spec.dlm_lease,
-        Duration::from_millis(50),
-    )));
+    let got = spawn(Box::new(DlmActor::new(DLM_LEASE, DLM_SWEEP)));
     assert_eq!(got, dlm);
     for &expected in &shared_logs {
         assert_eq!(spawn(Box::new(SharedLogActor::new())), expected);

@@ -7,7 +7,7 @@
 //! it under virtual time with a network model and closed-loop workload
 //! clients.
 
-use crate::assembly::{assemble, fast_path_handle, script_client, Assembled, Wiring};
+use crate::assembly::{assemble, fast_path_handle, p2p_targets, script_client, Assembled, Wiring};
 use crate::client_actor::{OpSource, WorkloadClient};
 use bespokv::client::ClientCore;
 use bespokv::controlet::{Controlet, RecoveredLocal};
@@ -49,14 +49,6 @@ pub struct ClusterSpec {
     pub standbys: u32,
     /// Coordinator tuning.
     pub coord: CoordConfig,
-    /// Controlet heartbeat period.
-    pub heartbeat_every: Duration,
-    /// MS+EC propagation flush period.
-    pub prop_flush_every: Duration,
-    /// AA+EC log poll period.
-    pub log_poll_every: Duration,
-    /// DLM lease length (AA+SC).
-    pub dlm_lease: Duration,
     /// P2P-style routing (section IV-E): clients send to any controlet,
     /// controlets forward to the owner.
     pub p2p: bool,
@@ -158,10 +150,6 @@ impl ClusterSpec {
             transport: TransportProfile::socket(),
             standbys: 0,
             coord: CoordConfig::default(),
-            heartbeat_every: Duration::from_millis(250),
-            prop_flush_every: Duration::from_millis(2),
-            log_poll_every: Duration::from_millis(2),
-            dlm_lease: Duration::from_millis(500),
             p2p: false,
             per_shard_modes: Vec::new(),
             faults: None,
@@ -532,7 +520,7 @@ impl SimCluster {
             core = core.with_max_attempts(max_attempts);
         }
         if self.spec.p2p {
-            core = core.with_p2p((0..self.spec.num_nodes()).map(NodeId).collect());
+            core = core.with_p2p(p2p_targets(&self.spec));
         }
         if let Some(rec) = &self.recorder {
             core = core.with_history(rec.clone());

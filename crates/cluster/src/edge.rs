@@ -108,6 +108,9 @@ struct CacheEntry {
     result: Result<RespBody, KvError>,
 }
 
+/// Validating edge-cache entries per deployment.
+const CACHE_CAPACITY: usize = 64;
+
 /// Deployment-wide skew-engine state: the hot-key sketch fed by the live
 /// GET stream, the validating cache, and the event counters. Shared by
 /// every edge thread via [`FastPathTable`].
@@ -121,12 +124,12 @@ pub struct SkewState {
 }
 
 impl SkewState {
-    /// Fresh state sized by `cfg`.
+    /// Fresh state with `cfg`'s hot threshold.
     pub fn new(cfg: SkewConfig) -> Self {
         SkewState {
             sketch: KeySketch::new(&cfg),
             counters: Arc::new(SkewCounters::new()),
-            cache: (0..cfg.cache_capacity.max(1)).map(|_| Mutex::new(None)).collect(),
+            cache: (0..CACHE_CAPACITY).map(|_| Mutex::new(None)).collect(),
         }
     }
 

@@ -12,7 +12,9 @@ use crate::edge::{EdgeOverload, FastPathTable, NodeEdge};
 use bespokv::client::ClientCore;
 use bespokv_datalet::{CrashDevice, Datalet};
 use bespokv_runtime::{Actor, Addr, LiveRuntime};
-use bespokv_types::{ClientId, Duration, HistoryRecorder, NodeId, OverloadCounters, ShardMap};
+use bespokv_types::{
+    ClientId, Duration, HistoryRecorder, NodeId, OverloadCounters, ShardMap, MAILBOX_CAP,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -61,7 +63,7 @@ impl LiveCluster {
             crash_devices,
             ..
         } = assemble(&spec, &mut |actor| rt.spawn(actor));
-        rt.set_mailbox_cap(spec.overload.mailbox_cap, Arc::clone(&overload_counters));
+        rt.set_mailbox_cap(MAILBOX_CAP, Arc::clone(&overload_counters));
         LiveCluster {
             rt,
             controlets,

@@ -9,7 +9,8 @@ use bespokv_proto::client::RespBody;
 use bespokv_types::{ConsistencyLevel, Duration, Key, Mode, Value};
 
 /// P2P topology (section IV-E): clients throw requests at arbitrary
-/// controlets; controlets forward to the owner; everything still works.
+/// controlets; controlets forward to the owner; everything still works,
+/// and no op waits out a timeout (a dropped forwarded reply would).
 #[test]
 fn p2p_routing_serves_from_any_controlet() {
     let spec = ClusterSpec::new(3, 3, Mode::MS_EC).with_p2p();
@@ -21,6 +22,7 @@ fn p2p_routing_serves_from_any_controlet() {
     for i in 0..20 {
         script.push(get(&format!("k{i}")).with_level(ConsistencyLevel::Strong));
     }
+    let started = cluster.sim.now();
     let client = cluster.add_script_client(script);
     cluster.run_for(Duration::from_secs(8));
     let c = cluster.sim.actor_mut::<ScriptClient>(client);
@@ -31,6 +33,15 @@ fn p2p_routing_serves_from_any_controlet() {
             matches!(r, Ok(RespBody::Value(v)) if v.value == expect),
             "op {i}: {r:?}"
         );
+    }
+    // The script is sequential, so an op's latency is at most the gap
+    // since the previous completion. The scripted client's request
+    // timeout is 300 ms: every op finishing sooner needed no retry.
+    let mut prev = started;
+    for (i, &at) in c.completed_at.iter().enumerate() {
+        let took = at.saturating_since(prev);
+        assert!(took < Duration::from_millis(300), "op {i} took {took:?}: it was retried");
+        prev = at;
     }
 }
 

@@ -202,7 +202,7 @@ fn singleflight_followers_settle_when_the_leader_times_out() {
     let _serial = serial();
     let mut cluster = LiveCluster::build(
         relay_spec(Mode::AA_SC, Duration::from_millis(150), Duration::from_millis(80))
-            .with_skew(SkewConfig { hot_min_count: 4, ..SkewConfig::default() }),
+            .with_skew(SkewConfig { hot_min_count: 4 }),
     );
     let counters = cluster.overload_counters();
     let (edge, srv) = cluster.tcp_edge(NodeId(0), true);

@@ -941,10 +941,7 @@ mod tests {
     #[test]
     fn hot_strong_reads_spread_across_the_chain() {
         let m = map(Mode::MS_SC);
-        let cfg = SkewConfig {
-            hot_min_count: 8,
-            ..SkewConfig::default()
-        };
+        let cfg = SkewConfig { hot_min_count: 8 };
         let counters = Arc::new(SkewCounters::new());
         let mut core = ClientCore::new(ClientId(1), Addr(99))
             .with_map(m.clone())
@@ -990,10 +987,7 @@ mod tests {
     #[test]
     fn hot_writes_keep_the_head_route() {
         let m = map(Mode::MS_SC);
-        let cfg = SkewConfig {
-            hot_min_count: 8,
-            ..SkewConfig::default()
-        };
+        let cfg = SkewConfig { hot_min_count: 8 };
         let counters = Arc::new(SkewCounters::new());
         let mut core = ClientCore::new(ClientId(1), Addr(99))
             .with_map(m.clone())

@@ -6,7 +6,6 @@ use bespokv_datalet::SnapshotEntry;
 use bespokv_proto::{CoordMsg, LogEntry, NetMsg, ReplMsg};
 use bespokv_runtime::{Addr, Context};
 use bespokv_types::{Consistency, Duration, NodeId, ShardId, ShardInfo, Topology};
-use std::collections::HashMap;
 
 impl Controlet {
     pub(crate) fn handle_coord(&mut self, _from: Addr, msg: CoordMsg, ctx: &mut Context) {
@@ -68,7 +67,7 @@ impl Controlet {
                 );
                 // The pull loop dies if a request or chunk is lost; the
                 // retry timer re-issues the current request until done.
-                ctx.set_timer(self.cfg.heartbeat_every, super::RECOVERY_RETRY_TIMER);
+                ctx.set_timer(super::HEARTBEAT_EVERY, super::RECOVERY_RETRY_TIMER);
             }
             CoordMsg::BeginTransition { shard, target } if shard == self.cfg.shard => {
                 self.begin_transition(target, ctx);
@@ -128,7 +127,7 @@ impl Controlet {
                                 floor: 0,
                             }),
                         );
-                        ctx.set_timer(self.cfg.heartbeat_every, super::RECOVERY_RETRY_TIMER);
+                        ctx.set_timer(super::HEARTBEAT_EVERY, super::RECOVERY_RETRY_TIMER);
                     }
                     // Promoted to master (or headless) mid-resync: there
                     // is no one left to pull from — serve what we have.
@@ -423,7 +422,6 @@ impl Controlet {
         self.transition = Some(TransitionState {
             target,
             reported: false,
-            forwarded: HashMap::new(),
         });
         // A transition closes the fast path outright: reads fall back to
         // the actor loop, which serves them with EC guarantees until the
@@ -479,7 +477,7 @@ impl Controlet {
     pub fn transition_complete(&self) -> bool {
         match &self.transition {
             None => true,
-            Some(t) => t.reported && t.forwarded.is_empty(),
+            Some(t) => t.reported && self.relayed.is_empty(),
         }
     }
 }

@@ -33,6 +33,17 @@ pub(crate) const PROP_FLUSH_TIMER: u64 = 2;
 pub(crate) const LOG_POLL_TIMER: u64 = 3;
 pub(crate) const RECOVERY_RETRY_TIMER: u64 = 4;
 
+/// Heartbeat period. It also paces the recovery-retry timer.
+pub(crate) const HEARTBEAT_EVERY: Duration = Duration::from_millis(250);
+
+/// MS+EC asynchronous propagation flush period. Throughput is flat from
+/// 0.5 ms to 32 ms (EXPERIMENTS.md, "Ablations"), and an ack-clocked send
+/// instead of the timer cost 20–34 % more CPU per op.
+pub(crate) const PROP_FLUSH_EVERY: Duration = Duration::from_millis(2);
+
+/// AA+EC shared-log poll period.
+pub(crate) const LOG_POLL_EVERY: Duration = Duration::from_millis(2);
+
 /// Map refresh cadence: every Nth heartbeat a serving controlet re-pulls
 /// the shard map, so a dropped `ShardMapUpdate` broadcast heals itself.
 pub(crate) const MAP_REFRESH_BEATS: u64 = 4;
@@ -56,12 +67,6 @@ pub struct ControletConfig {
     /// Simulated CPU cost of datalet operations (ignored by the live
     /// driver).
     pub cost: CostModel,
-    /// Heartbeat period.
-    pub heartbeat_every: Duration,
-    /// MS+EC asynchronous propagation flush period.
-    pub prop_flush_every: Duration,
-    /// AA+EC shared-log poll period.
-    pub log_poll_every: Duration,
     /// P2P-style routing (section IV-E): a request for a key this shard
     /// does not own is forwarded to the owning controlet instead of being
     /// rejected with `WrongNode`. Clients may then send requests to *any*
@@ -106,9 +111,6 @@ impl ControletConfig {
             dlm: None,
             shared_log: None,
             cost: CostModel::tht(),
-            heartbeat_every: Duration::from_millis(500),
-            prop_flush_every: Duration::from_millis(2),
-            log_poll_every: Duration::from_millis(2),
             p2p_forwarding: false,
             recorder: None,
             overload: OverloadConfig::default(),
@@ -174,7 +176,8 @@ pub(crate) struct Pending {
 }
 
 /// How to deliver a response: directly to a client connection, or back
-/// through the old controlet that forwarded the request mid-transition.
+/// through the controlet that forwarded the request (P2P routing, or a
+/// transition's writes).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ReplyPath {
     /// Reply straight to this address.
@@ -292,8 +295,6 @@ pub(crate) struct TransitionState {
     pub target: ShardInfo,
     /// Whether we already reported drained to the coordinator.
     pub reported: bool,
-    /// Requests we forwarded to the new controlets: rid -> original client.
-    pub forwarded: HashMap<RequestId, Addr>,
 }
 
 /// The controlet actor.
@@ -345,9 +346,10 @@ pub struct Controlet {
     pub(crate) transition: Option<TransitionState>,
     /// Whole-cluster map (for ownership checks and P2P forwarding).
     pub(crate) cluster_map: Option<bespokv_types::ShardMap>,
-    /// Requests this controlet relayed to another controlet (P2P routing):
-    /// rid -> original client.
-    pub(crate) relayed: HashMap<RequestId, Addr>,
+    /// Requests this controlet forwarded to another controlet (P2P
+    /// routing, or a transition's writes) whose reply it still owes:
+    /// rid -> where that reply goes.
+    pub(crate) relayed: HashMap<RequestId, ReplyPath>,
     /// Completed-write replies, for exactly-once across client retries.
     pub(crate) replies: ReplyCache,
 }
@@ -451,7 +453,7 @@ impl Controlet {
     }
 
     /// Records a chain write as in flight, marking its key dirty for the
-    /// fast path. Idempotent per version (duplicated `ChainPut`s must not
+    /// fast path. Idempotent per version (duplicated batches must not
     /// double-count the dirty mark).
     pub(crate) fn track_in_flight(&mut self, version: Version, rid: RequestId, entry: LogEntry) {
         if !self.in_flight.contains_key(&version) {
@@ -571,6 +573,12 @@ impl Controlet {
 
     pub(crate) fn respond(&mut self, reply: ReplyPath, resp: Response, ctx: &mut Context) {
         self.replies.record(&resp);
+        self.deliver(reply, resp, ctx);
+    }
+
+    /// Sends a response along its reply path, without caching it (a
+    /// relayed reply belongs to the controlet that executed the request).
+    pub(crate) fn deliver(&self, reply: ReplyPath, resp: Response, ctx: &mut Context) {
         match reply {
             ReplyPath::Client(addr) => ctx.send(addr, NetMsg::ClientResp(resp)),
             ReplyPath::Relay(addr) => {
@@ -686,7 +694,7 @@ impl Actor for Controlet {
     fn on_event(&mut self, ev: Event, ctx: &mut Context) {
         match ev {
             Event::Start => {
-                ctx.set_timer(self.cfg.heartbeat_every, HEARTBEAT_TIMER);
+                ctx.set_timer(HEARTBEAT_EVERY, HEARTBEAT_TIMER);
                 if self.info.is_none() {
                     ctx.send(self.cfg.coordinator, NetMsg::Coord(CoordMsg::GetShardMap));
                 }
@@ -751,15 +759,15 @@ impl Controlet {
                 if self.heartbeats_sent.is_multiple_of(MAP_REFRESH_BEATS) {
                     ctx.send(self.cfg.coordinator, NetMsg::Coord(CoordMsg::GetShardMap));
                 }
-                ctx.set_timer(self.cfg.heartbeat_every, HEARTBEAT_TIMER);
+                ctx.set_timer(HEARTBEAT_EVERY, HEARTBEAT_TIMER);
             }
             PROP_FLUSH_TIMER => {
                 self.flush_propagation(ctx);
-                ctx.set_timer(self.cfg.prop_flush_every, PROP_FLUSH_TIMER);
+                ctx.set_timer(PROP_FLUSH_EVERY, PROP_FLUSH_TIMER);
             }
             LOG_POLL_TIMER => {
                 self.poll_shared_log(ctx);
-                ctx.set_timer(self.cfg.log_poll_every, LOG_POLL_TIMER);
+                ctx.set_timer(LOG_POLL_EVERY, LOG_POLL_TIMER);
             }
             RECOVERY_RETRY_TIMER => {
                 // A lost RecoveryReq/RecoveryChunk would wedge the pull
@@ -773,7 +781,7 @@ impl Controlet {
                         Self::addr_of(rec.source),
                         NetMsg::Repl(ReplMsg::RecoveryReq { shard, from, floor }),
                     );
-                    ctx.set_timer(self.cfg.heartbeat_every, RECOVERY_RETRY_TIMER);
+                    ctx.set_timer(HEARTBEAT_EVERY, RECOVERY_RETRY_TIMER);
                 } else if let Some((source, cursor)) = self.recovery_delta {
                     // Snapshot done: drain the source's delta feed until it
                     // confirms we are a member and the feed is dry.
@@ -785,7 +793,7 @@ impl Controlet {
                             floor: 0,
                         }),
                     );
-                    ctx.set_timer(self.cfg.heartbeat_every, RECOVERY_RETRY_TIMER);
+                    ctx.set_timer(HEARTBEAT_EVERY, RECOVERY_RETRY_TIMER);
                 }
             }
             _ => {}
@@ -796,7 +804,7 @@ impl Controlet {
         // Arm both; the handlers are no-ops when the mode doesn't use them,
         // and modes can change at runtime (transitions), so keeping both
         // armed is the simplest correct choice.
-        ctx.set_timer(self.cfg.prop_flush_every, PROP_FLUSH_TIMER);
-        ctx.set_timer(self.cfg.log_poll_every, LOG_POLL_TIMER);
+        ctx.set_timer(PROP_FLUSH_EVERY, PROP_FLUSH_TIMER);
+        ctx.set_timer(LOG_POLL_EVERY, LOG_POLL_TIMER);
     }
 }

@@ -63,16 +63,7 @@ impl Controlet {
                 let owner_head = map.shard(owner).and_then(|i| i.head());
                 if self.cfg.p2p_forwarding {
                     if let Some(target) = owner_head {
-                        if let ReplyPath::Client(client) = reply {
-                            self.relayed.insert(req.id, client);
-                        }
-                        ctx.send(
-                            Self::addr_of(target),
-                            NetMsg::Repl(ReplMsg::ForwardedReq {
-                                req,
-                                reply_via: self.cfg.node,
-                            }),
-                        );
+                        self.forward_to(target, req, reply, ctx);
                         return;
                     }
                 }
@@ -187,6 +178,9 @@ impl Controlet {
         }
     }
 
+    /// Forwards a request to the controlet on `node` (P2P routing, or a
+    /// transition's writes) and remembers where its reply goes: the
+    /// `ForwardedResp` is resolved from [`Controlet::relayed`].
     pub(crate) fn forward_to(
         &mut self,
         node: NodeId,
@@ -199,11 +193,7 @@ impl Controlet {
             self.reply_err(reply, id, KvError::NotServing, ctx);
             return;
         }
-        if let Some(t) = &mut self.transition {
-            if let ReplyPath::Client(addr) = reply {
-                t.forwarded.insert(req.id, addr);
-            }
-        }
+        self.relayed.insert(req.id, reply);
         ctx.send(
             Self::addr_of(node),
             NetMsg::Repl(ReplMsg::ForwardedReq {
@@ -218,29 +208,18 @@ impl Controlet {
     fn ms_sc_write(&mut self, req: Request, reply: ReplyPath, ctx: &mut Context) {
         let info = self.info.clone().expect("writer has info");
         // Client retry of a write still in flight (its timeout fired while
-        // our chain ack was delayed or a ChainPut was dropped): do not
-        // order it again — that would leak the old in-flight entry forever.
+        // our chain ack was delayed or a batch was dropped): do not order
+        // it again — that would leak the old in-flight entry forever.
         // Refresh the reply path and re-push the existing entry instead.
         if self.pending.contains_key(&req.id) {
             self.pending.get_mut(&req.id).expect("checked").reply = reply;
-            if let Some((version, (_, entry))) = self
+            let item = self
                 .in_flight
-                .iter()
-                .find(|(_, (rid, _))| *rid == req.id)
-                .map(|(v, p)| (*v, p.clone()))
-            {
-                let _ = version;
-                if let Some(successor) = info.successor(self.cfg.node) {
-                    ctx.send(
-                        Self::addr_of(successor),
-                        NetMsg::Repl(ReplMsg::ChainPut {
-                            shard: self.cfg.shard,
-                            epoch: info.epoch,
-                            rid: req.id,
-                            entry,
-                        }),
-                    );
-                }
+                .values()
+                .find(|(rid, _)| *rid == req.id)
+                .cloned();
+            if let (Some(item), Some(successor)) = (item, info.successor(self.cfg.node)) {
+                self.send_chain_batch(successor, info.epoch, vec![item], ctx);
             }
             return;
         }
@@ -284,16 +263,26 @@ impl Controlet {
         self.track_in_flight(version, req.id, entry.clone());
         self.apply_entry(&entry, ctx);
         self.applied_seq = self.applied_seq.max(version);
-        // The write goes down the chain at once; the tail acks whole
-        // batches, so a one-item `ChainPutBatch` is the unit on the wire.
+        // The write goes down the chain at once as a one-item batch.
+        self.send_chain_batch(successor, info.epoch, vec![(req.id, entry)], ctx);
+    }
+
+    /// Pushes head-ordered writes to the chain successor as one batch.
+    fn send_chain_batch(
+        &self,
+        successor: NodeId,
+        epoch: u64,
+        items: Vec<(bespokv_types::RequestId, bespokv_proto::LogEntry)>,
+        ctx: &mut Context,
+    ) {
         let budget = self.repl_budget(ctx.now());
         ctx.send(
             Self::addr_of(successor),
             NetMsg::Repl(ReplMsg::ChainPutBatch {
                 shard: self.cfg.shard,
-                epoch: info.epoch,
+                epoch,
                 budget,
-                items: vec![(req.id, entry)],
+                items,
             }),
         );
     }
@@ -395,93 +384,10 @@ impl Controlet {
         }
     }
 
-    pub(crate) fn on_chain_put(
-        &mut self,
-        shard: bespokv_types::ShardId,
-        epoch: u64,
-        rid: bespokv_types::RequestId,
-        entry: bespokv_proto::LogEntry,
-        ctx: &mut Context,
-    ) {
-        let Some(info) = self.info.clone() else { return };
-        if shard != self.cfg.shard || epoch < info.epoch {
-            return; // stale chain traffic from an old configuration
-        }
-        let successor = info.successor(self.cfg.node);
-        // Mid nodes dirty-mark before applying (see `ms_sc_write`).
-        if successor.is_some() {
-            self.track_in_flight(entry.version, rid, entry.clone());
-        }
-        self.apply_entry(&entry, ctx);
-        self.applied_seq = self.applied_seq.max(entry.version);
-        match successor {
-            Some(next) => {
-                ctx.send(
-                    Self::addr_of(next),
-                    NetMsg::Repl(ReplMsg::ChainPut {
-                        shard,
-                        epoch: info.epoch,
-                        rid,
-                        entry,
-                    }),
-                );
-            }
-            None => {
-                // Tail: ack flows back up.
-                if let Some(prev) = info.predecessor(self.cfg.node) {
-                    ctx.send(
-                        Self::addr_of(prev),
-                        NetMsg::Repl(ReplMsg::ChainAck {
-                            shard,
-                            epoch: info.epoch,
-                            rid,
-                            version: entry.version,
-                        }),
-                    );
-                }
-            }
-        }
-    }
-
-    pub(crate) fn on_chain_ack(
-        &mut self,
-        shard: bespokv_types::ShardId,
-        epoch: u64,
-        rid: bespokv_types::RequestId,
-        version: u64,
-        ctx: &mut Context,
-    ) {
-        let Some(info) = self.info.clone() else { return };
-        if shard != self.cfg.shard || epoch < info.epoch {
-            return;
-        }
-        self.untrack_in_flight(version);
-        match info.predecessor(self.cfg.node) {
-            Some(prev) => {
-                ctx.send(
-                    Self::addr_of(prev),
-                    NetMsg::Repl(ReplMsg::ChainAck {
-                        shard,
-                        epoch: info.epoch,
-                        rid,
-                        version,
-                    }),
-                );
-            }
-            None => {
-                // Head: the write is committed end to end.
-                if let Some(p) = self.pending.remove(&rid) {
-                    let resp = Response::ok(rid, RespBody::Done);
-                    self.respond(p.reply, resp, ctx);
-                }
-                self.check_transition_drained(ctx);
-            }
-        }
-    }
-
     /// After a chain reconfiguration the head resends every in-flight
-    /// write so entries lost with a dead mid/tail are re-propagated
-    /// (idempotent: versions make replays harmless).
+    /// write, as one batch in version order, so entries lost with a dead
+    /// mid/tail are re-propagated (idempotent: versions make replays
+    /// harmless).
     pub(crate) fn resend_in_flight(&mut self, ctx: &mut Context) {
         let Some(info) = self.info.clone() else { return };
         if info.head() != Some(self.cfg.node) {
@@ -503,18 +409,11 @@ impl Controlet {
             self.check_transition_drained(ctx);
             return;
         };
-        for (version, (rid, entry)) in self.in_flight.clone() {
-            let _ = version;
-            ctx.send(
-                Self::addr_of(successor),
-                NetMsg::Repl(ReplMsg::ChainPut {
-                    shard: self.cfg.shard,
-                    epoch: info.epoch,
-                    rid,
-                    entry,
-                }),
-            );
+        if self.in_flight.is_empty() {
+            return;
         }
+        let items = self.in_flight.values().cloned().collect();
+        self.send_chain_batch(successor, info.epoch, items, ctx);
     }
 
     // --- MS+EC: asynchronous propagation --------------------------------------
@@ -660,7 +559,7 @@ impl Controlet {
                     floor: 0,
                 }),
             );
-            ctx.set_timer(self.cfg.heartbeat_every, RECOVERY_RETRY_TIMER);
+            ctx.set_timer(super::HEARTBEAT_EVERY, RECOVERY_RETRY_TIMER);
             return;
         }
         let count = entries.len() as u64;
@@ -1122,18 +1021,6 @@ impl Controlet {
 
     pub(crate) fn handle_repl(&mut self, from: Addr, msg: ReplMsg, ctx: &mut Context) {
         match msg {
-            ReplMsg::ChainPut {
-                shard,
-                epoch,
-                rid,
-                entry,
-            } => self.on_chain_put(shard, epoch, rid, entry, ctx),
-            ReplMsg::ChainAck {
-                shard,
-                epoch,
-                rid,
-                version,
-            } => self.on_chain_ack(shard, epoch, rid, version, ctx),
             ReplMsg::ChainPutBatch { shard, epoch, budget, items } => {
                 self.on_chain_put_batch(shard, epoch, budget, items, ctx)
             }
@@ -1174,16 +1061,10 @@ impl Controlet {
                 self.handle_client(req, reply, ctx);
             }
             ReplMsg::ForwardedResp { resp } => {
-                // We are the relay: hand the response to the client that
-                // asked us before/during the transition.
-                // An unknown rid is a late response after transition
-                // cleanup; drop it.
-                if let Some(client) = self
-                    .transition
-                    .as_mut()
-                    .and_then(|t| t.forwarded.remove(&resp.id))
-                {
-                    ctx.send(client, NetMsg::ClientResp(resp));
+                // We are the relay: hand the response to whoever asked us.
+                // An unknown rid is a duplicate or late response; drop it.
+                if let Some(reply) = self.relayed.remove(&resp.id) {
+                    self.deliver(reply, resp, ctx);
                 }
             }
             ReplMsg::RecoveryReq {

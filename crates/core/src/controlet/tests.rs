@@ -325,94 +325,10 @@ fn gate_tracks_role_and_epoch() {
 }
 
 #[test]
-fn stale_epoch_chain_traffic_is_dropped() {
-    let mut mid = controlet(1, Mode::MS_SC, &[0, 1, 2]);
-    let entry = LogEntry {
-        table: String::new(),
-        key: Key::from("k"),
-        value: Some(Value::from("v")),
-        version: 5,
-    };
-    // Epoch 0 < configured epoch 1: must be ignored entirely.
-    let actions = drive(
-        &mut mid,
-        Event::Msg {
-            from: Addr(0),
-            msg: NetMsg::Repl(ReplMsg::ChainPut {
-                shard: ShardId(0),
-                epoch: 0,
-                rid: RequestId::compose(ClientId(9), 0),
-                entry,
-            }),
-        },
-    );
-    assert!(sent_to(&actions).is_empty(), "stale traffic forwarded");
-    assert!(mid.datalet().get(DEFAULT_TABLE, &Key::from("k")).is_err());
-}
-
-#[test]
-fn tail_acks_upstream_and_mid_relays() {
-    let entry = LogEntry {
-        table: String::new(),
-        key: Key::from("k"),
-        value: Some(Value::from("v")),
-        version: 7,
-    };
-    let rid = RequestId::compose(ClientId(9), 0);
-    let chain_put = |e: LogEntry| {
-        NetMsg::Repl(ReplMsg::ChainPut {
-            shard: ShardId(0),
-            epoch: 1,
-            rid,
-            entry: e,
-        })
-    };
-    // Tail: applies and acks to its predecessor.
-    let mut tail = controlet(2, Mode::MS_SC, &[0, 1, 2]);
-    let actions = drive(
-        &mut tail,
-        Event::Msg {
-            from: Addr(1),
-            msg: chain_put(entry.clone()),
-        },
-    );
-    let sends = sent_to(&actions);
-    assert_eq!(sends.len(), 1);
-    assert_eq!(sends[0].0, Addr(1));
-    assert!(matches!(sends[0].1, NetMsg::Repl(ReplMsg::ChainAck { .. })));
-    // Mid: relays the ack upstream and clears its in-flight entry.
-    let mut mid = controlet(1, Mode::MS_SC, &[0, 1, 2]);
-    drive(
-        &mut mid,
-        Event::Msg {
-            from: Addr(0),
-            msg: chain_put(entry),
-        },
-    );
-    assert_eq!(mid.in_flight.len(), 1);
-    let actions = drive(
-        &mut mid,
-        Event::Msg {
-            from: Addr(2),
-            msg: NetMsg::Repl(ReplMsg::ChainAck {
-                shard: ShardId(0),
-                epoch: 1,
-                rid,
-                version: 7,
-            }),
-        },
-    );
-    let sends = sent_to(&actions);
-    assert_eq!(sends.len(), 1);
-    assert_eq!(sends[0].0, Addr(0), "ack relayed to the head");
-    assert!(mid.in_flight.is_empty());
-}
-
-#[test]
 fn retried_write_reuses_in_flight_entry() {
     // A client retry of a write whose ack is still in flight must not be
     // ordered again: same version, same single in-flight slot, and the
-    // chain put is re-pushed so a dropped one is recovered.
+    // write is re-pushed as a one-item batch so a dropped one is recovered.
     let mut head = controlet(0, Mode::MS_SC, &[0, 1, 2]);
     drive(&mut head, client_put(0, "k", "v"));
     let version = *head.in_flight.keys().next().expect("one in flight");
@@ -420,41 +336,82 @@ fn retried_write_reuses_in_flight_entry() {
     assert_eq!(head.in_flight.len(), 1, "retry must not order a second entry");
     assert_eq!(head.pending.len(), 1);
     let sends = sent_to(&actions);
-    assert_eq!(sends.len(), 1, "retry re-pushes the chain put");
+    assert_eq!(sends.len(), 1, "retry re-pushes the write");
+    assert_eq!(sends[0].0, Addr(1), "to the successor");
     match sends[0].1 {
-        NetMsg::Repl(ReplMsg::ChainPut { entry, .. }) => {
-            assert_eq!(entry.version, version, "same ordering as the original");
+        NetMsg::Repl(ReplMsg::ChainPutBatch { items, .. }) => {
+            assert_eq!(items.len(), 1);
+            assert_eq!(items[0].0, RequestId::compose(ClientId(9), 0));
+            assert_eq!(items[0].1.version, version, "same ordering as the original");
         }
-        other => panic!("expected ChainPut, got {other:?}"),
+        other => panic!("expected ChainPutBatch, got {other:?}"),
+    }
+}
+
+/// A shard map update moving shard 0 to `nodes` at `epoch`.
+fn map_update(mode: Mode, nodes: &[u32], epoch: u64) -> Event {
+    let mut map = bespokv_types::ShardMap::dense(
+        1,
+        3,
+        mode,
+        bespokv_types::Partitioning::ConsistentHash { vnodes: 4 },
+    );
+    let shard = map.shard_mut(ShardId(0)).expect("dense");
+    shard.replicas = nodes.iter().map(|&n| NodeId(n)).collect();
+    shard.epoch = epoch;
+    Event::Msg {
+        from: COORD,
+        msg: NetMsg::Coord(CoordMsg::ShardMapUpdate { map }),
     }
 }
 
 #[test]
-fn duplicated_chain_put_applies_once() {
-    // Fault injection can deliver the same ChainPut twice; versions make
-    // the re-apply idempotent and the in-flight table must not grow.
-    let mut mid = controlet(1, Mode::MS_SC, &[0, 1, 2]);
-    let rid = RequestId::compose(ClientId(9), 0);
-    let msg = || Event::Msg {
-        from: Addr(0),
-        msg: NetMsg::Repl(ReplMsg::ChainPut {
-            shard: ShardId(0),
-            epoch: 1,
-            rid,
-            entry: LogEntry {
-                table: String::new(),
-                key: Key::from("k"),
-                value: Some(Value::from("v")),
-                version: 7,
-            },
-        }),
-    };
-    drive(&mut mid, msg());
-    drive(&mut mid, msg());
-    assert_eq!(mid.in_flight.len(), 1, "duplicate must not double-track");
-    let got = mid.datalet().get(DEFAULT_TABLE, &Key::from("k")).unwrap();
-    assert_eq!(got.value, Value::from("v"));
-    assert_eq!(got.version, 7);
+fn resend_in_flight_sends_one_batch_in_version_order() {
+    // The middle of the chain dies: the head re-pushes everything still
+    // in flight to its new successor as one batch, in version order.
+    let mut head = controlet(0, Mode::MS_SC, &[0, 1, 2]);
+    for seq in 0..3 {
+        drive(&mut head, client_put(seq, &format!("k{seq}"), "v"));
+    }
+    let expected: Vec<(RequestId, u64)> =
+        head.in_flight.iter().map(|(v, (rid, _))| (*rid, *v)).collect();
+    let actions = drive(&mut head, map_update(Mode::MS_SC, &[0, 2], 2));
+    let batches: Vec<_> = sent_to(&actions)
+        .into_iter()
+        .filter_map(|(to, m)| match m {
+            NetMsg::Repl(ReplMsg::ChainPutBatch { items, epoch, .. }) => Some((to, *epoch, items)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(batches.len(), 1, "one batch, not one message per write");
+    let (to, epoch, items) = &batches[0];
+    assert_eq!(*to, Addr(2), "to the new successor");
+    assert_eq!(*epoch, 2, "under the new epoch");
+    let got: Vec<(RequestId, u64)> = items.iter().map(|(rid, e)| (*rid, e.version)).collect();
+    assert_eq!(got, expected, "every in-flight write, in version order");
+    assert_eq!(head.in_flight.len(), 3, "still in flight until the tail acks");
+
+    // Both followers die: a chain of one commits everything locally.
+    let mut head = controlet(0, Mode::MS_SC, &[0, 1, 2]);
+    let dirty = head.dirty_keys();
+    drive(&mut head, client_put(0, "a", "1"));
+    drive(&mut head, client_put(1, "b", "2"));
+    let actions = drive(&mut head, map_update(Mode::MS_SC, &[0], 2));
+    let sends = sent_to(&actions);
+    assert!(
+        !sends.iter().any(|(_, m)| matches!(m, NetMsg::Repl(ReplMsg::ChainPutBatch { .. }))),
+        "nothing to push down a chain of one"
+    );
+    let acked = sends
+        .iter()
+        .filter(|(to, m)| {
+            *to == Addr(999)
+                && matches!(m, NetMsg::ClientResp(Response { result: Ok(RespBody::Done), .. }))
+        })
+        .count();
+    assert_eq!(acked, 2, "both clients answered");
+    assert!(head.in_flight.is_empty() && head.pending.is_empty());
+    assert!(!dirty.is_dirty(&Key::from("a")) && !dirty.is_dirty(&Key::from("b")));
 }
 
 #[test]
@@ -470,11 +427,10 @@ fn out_of_order_and_duplicate_chain_acks_resolve_cleanly() {
     let rids: Vec<RequestId> = head.in_flight.values().map(|(r, _)| *r).collect();
     let ack = |rid, version| Event::Msg {
         from: Addr(1),
-        msg: NetMsg::Repl(ReplMsg::ChainAck {
+        msg: NetMsg::Repl(ReplMsg::ChainAckBatch {
             shard: ShardId(0),
             epoch: 1,
-            rid,
-            version,
+            items: vec![(rid, version)],
         }),
     };
     // Second write acked first.
@@ -797,6 +753,52 @@ fn transition_forwards_writes_and_reports_drained() {
     let sends = sent_to(&actions);
     assert_eq!(sends.len(), 1);
     assert_eq!(sends[0].0, Addr(999), "relayed to the original client");
+}
+
+#[test]
+fn p2p_forwarded_reply_reaches_the_client() {
+    // A P2P controlet forwards a write for a key another shard owns to
+    // that shard's head, then relays the head's reply to the client.
+    let map = bespokv_types::ShardMap::dense(
+        2,
+        3,
+        Mode::MS_EC,
+        bespokv_types::Partitioning::ConsistentHash { vnodes: 32 },
+    );
+    let owner = map.shard(ShardId(1)).expect("dense").head().expect("head");
+    let key = (0..1000)
+        .map(|i| format!("p2p{i}"))
+        .find(|k| map.shard_for_key(&Key::from(k.as_str())) == ShardId(1))
+        .expect("some key maps to shard 1");
+    let mut cfg = ControletConfig::new(NodeId(0), ShardId(0), COORD);
+    cfg.p2p_forwarding = true;
+    let shard0 = map.shard(ShardId(0)).expect("dense").clone();
+    let mut c = Controlet::with_info(cfg, EngineKind::THt.build(), shard0).with_cluster_map(map);
+    let actions = drive(&mut c, client_put(0, &key, "v"));
+    let sends = sent_to(&actions);
+    assert_eq!(sends.len(), 1);
+    assert_eq!(sends[0].0, Addr(owner.raw()), "forwarded to the owning head");
+    assert!(matches!(
+        sends[0].1,
+        NetMsg::Repl(ReplMsg::ForwardedReq { reply_via, .. }) if *reply_via == NodeId(0)
+    ));
+    let resp = || Event::Msg {
+        from: Addr(owner.raw()),
+        msg: NetMsg::Repl(ReplMsg::ForwardedResp {
+            resp: Response::ok(RequestId::compose(ClientId(9), 0), RespBody::Done),
+        }),
+    };
+    let actions = drive(&mut c, resp());
+    let sends = sent_to(&actions);
+    assert_eq!(sends.len(), 1);
+    assert_eq!(sends[0].0, Addr(999), "relayed to the original client");
+    assert!(matches!(
+        sends[0].1,
+        NetMsg::ClientResp(Response { result: Ok(RespBody::Done), .. })
+    ));
+    assert!(c.relayed.is_empty(), "the relay entry is retired with the reply");
+    // A duplicated reply finds no entry and is dropped.
+    assert!(sent_to(&drive(&mut c, resp())).is_empty());
 }
 
 #[test]

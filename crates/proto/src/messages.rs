@@ -47,28 +47,6 @@ impl LogEntry {
 /// Replication-path messages (controlet <-> controlet).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ReplMsg {
-    /// Chain replication: forward a write down the chain (MS+SC).
-    ChainPut {
-        /// Shard the write belongs to.
-        shard: ShardId,
-        /// Sender's view of the shard epoch; stale epochs are rejected.
-        epoch: u64,
-        /// Originating client request (for the head's reply bookkeeping).
-        rid: RequestId,
-        /// The mutation.
-        entry: LogEntry,
-    },
-    /// Chain replication: ack flowing back up the chain (MS+SC).
-    ChainAck {
-        /// Shard.
-        shard: ShardId,
-        /// Epoch.
-        epoch: u64,
-        /// Request being acknowledged.
-        rid: RequestId,
-        /// Version the tail durably holds.
-        version: Version,
-    },
     /// Asynchronous propagation batch (MS+EC master -> slaves).
     PropBatch {
         /// Shard.
@@ -164,9 +142,10 @@ pub enum ReplMsg {
         /// Replication sequence the snapshot corresponds to.
         snapshot_seq: u64,
     },
-    /// Group commit: several chain writes coalesced into one message
-    /// (MS+SC). Semantically identical to the items sent as individual
-    /// [`ReplMsg::ChainPut`]s in order; receivers apply idempotently so
+    /// Chain replication (MS+SC): writes travelling down the chain, in
+    /// version order. The head sends each new write as a one-item batch
+    /// and re-pushes whatever is still in flight as one batch after a
+    /// retry or a reconfiguration; receivers apply idempotently, so
     /// duplicated or reordered batches are safe.
     ChainPutBatch {
         /// Shard the writes belong to.
@@ -181,8 +160,8 @@ pub enum ReplMsg {
         /// The coalesced writes, in version order.
         items: Vec<(RequestId, LogEntry)>,
     },
-    /// Group commit: acks for a whole [`ReplMsg::ChainPutBatch`] flowing
-    /// back up the chain (MS+SC).
+    /// Chain replication (MS+SC): the tail's ack for a whole
+    /// [`ReplMsg::ChainPutBatch`], flowing back up the chain.
     ChainAckBatch {
         /// Shard.
         shard: ShardId,
@@ -194,8 +173,8 @@ pub enum ReplMsg {
 }
 
 wire_enum!(ReplMsg {
-    0 => ChainPut { shard, epoch, rid, entry },
-    1 => ChainAck { shard, epoch, rid, version },
+    // Tags 0 and 1 are retired (single-write chain put and ack, folded
+    // into the batch pair 10/11).
     2 => PropBatch { shard, epoch, first_seq, floor, budget, entries },
     3 => PropAck { shard, epoch, upto },
     4 => PeerWrite { shard, epoch, rid, entry },
@@ -206,8 +185,9 @@ wire_enum!(ReplMsg {
     9 => RecoveryChunk { shard, from, advance, entries, done, snapshot_seq },
     10 => ChainPutBatch { shard, epoch, budget, items },
     11 => ChainAckBatch { shard, epoch, items },
-    // Tag 12 is retired (it carried a write-combiner drain hint); never
-    // reuse it, so a peer running older code cannot misread a new message.
+    // Tag 12 is retired (it carried a write-combiner drain hint). Never
+    // reuse a retired tag, so a peer running older code cannot misread a
+    // new message.
 });
 
 /// Coordinator messages (controlet <-> coordinator, client <-> coordinator).
@@ -451,11 +431,8 @@ impl NetMsg {
             NetMsg::ClientResp(r) => HDR + response_size(r),
             NetMsg::Repl(m) => {
                 HDR + match m {
-                    ReplMsg::ChainPut { entry, .. } | ReplMsg::PeerWrite { entry, .. } => {
-                        entry.wire_size()
-                    }
-                    ReplMsg::ChainAck { .. }
-                    | ReplMsg::PropAck { .. }
+                    ReplMsg::PeerWrite { entry, .. } => entry.wire_size(),
+                    ReplMsg::PropAck { .. }
                     | ReplMsg::PeerWriteAck { .. }
                     | ReplMsg::RecoveryReq { .. } => 8,
                     ReplMsg::PropBatch { entries, .. }
@@ -702,18 +679,6 @@ mod tests {
 
     #[test]
     fn repl_messages_roundtrip() {
-        roundtrip(ReplMsg::ChainPut {
-            shard: ShardId(0),
-            epoch: 3,
-            rid: rid(),
-            entry: entry(),
-        });
-        roundtrip(ReplMsg::ChainAck {
-            shard: ShardId(0),
-            epoch: 3,
-            rid: rid(),
-            version: 42,
-        });
         roundtrip(ReplMsg::PropBatch {
             shard: ShardId(1),
             epoch: 0,
@@ -760,6 +725,13 @@ mod tests {
             epoch: 5,
             items: vec![(rid(), 42), (RequestId::compose(ClientId(2), 9), 43)],
         });
+    }
+
+    #[test]
+    fn retired_repl_tags_do_not_decode() {
+        for tag in [0u8, 1, 12] {
+            assert!(ReplMsg::from_bytes(vec![tag]).is_err(), "tag {tag}");
+        }
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //!   in the parser/socket buffer and TCP pushes back on the sender —
 //!   nothing mid-stream is shed, it is merely deferred.
 //! * response backlog → an **output high-water mark**: a connection whose
-//!   pending output exceeds [`OUT_HIGH_WATER`] stops being served (and
-//!   therefore stops being read) until a writable edge drains it below
-//!   [`OUT_LOW_WATER`].
+//!   pending output exceeds `OUT_HIGH_WATER` (256 KiB) stops being served
+//!   (and therefore stops being read) until a writable edge drains it
+//!   below `OUT_LOW_WATER` (32 KiB).
 //! * `max_connections` → a **slab bound**: a connection over the cap is
 //!   still accepted, answers its first request batch with an explicit
 //!   [`KvError::Overloaded`], and is closed — the client learns it was

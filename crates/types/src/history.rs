@@ -134,7 +134,8 @@ pub struct ApplyEvent {
 }
 
 /// Shared, cloneable sink for history events. All clones append to the same
-/// underlying log; [`HistoryRecorder::take`] drains it for checking.
+/// underlying log; [`HistoryRecorder::events`] and
+/// [`HistoryRecorder::applies`] snapshot it for checking.
 #[derive(Clone, Debug, Default)]
 pub struct HistoryRecorder {
     inner: Arc<RecorderInner>,

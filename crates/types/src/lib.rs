@@ -25,7 +25,7 @@ pub use history::{ApplyEvent, HistoryEvent, HistoryOp, HistoryOutcome, HistoryRe
 pub use ids::{ClientId, NodeId, RequestId, ShardId};
 pub use kv::{Key, Value, Version, VersionedValue};
 pub use mode::{Consistency, ConsistencyLevel, Mode, Topology};
-pub use overload::{OverloadConfig, OverloadCounters, OverloadSnapshot};
+pub use overload::{OverloadConfig, OverloadCounters, OverloadSnapshot, MAILBOX_CAP};
 pub use shardmap::{Partitioning, ShardInfo, ShardMap};
 pub use skew::{KeySketch, SkewConfig, SkewCounters, SkewSnapshot};
 pub use time::{Duration, Instant};

@@ -11,6 +11,10 @@
 use crate::time::Duration;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Live runtime: client messages queued per actor mailbox beyond this are
+/// shed at enqueue time (replication/control traffic is exempt).
+pub const MAILBOX_CAP: usize = 4096;
+
 /// Tuning knobs for the overload-protection layer. One instance is shared
 /// by the builders with every controlet, edge, and client of a cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,9 +23,6 @@ pub struct OverloadConfig {
     /// busy actor's virtual queue is bounced with `Overloaded` instead of
     /// being requeued (models a bounded mailbox in virtual time).
     pub max_queue_delay: Option<Duration>,
-    /// Live runtime: client messages queued per actor mailbox beyond this
-    /// are shed at enqueue time (replication/control traffic is exempt).
-    pub mailbox_cap: usize,
     /// TCP edge: a per-connection fairness budget, expressed as
     /// *backpressure* — at most this many requests are decoded and served
     /// per connection per reactor turn, and surplus input waits in the
@@ -70,7 +71,6 @@ impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
             max_queue_delay: Some(Duration::from_millis(250)),
-            mailbox_cap: 4096,
             pipeline_cap: 1024,
             max_connections: 1024,
             reactor_threads: 0,

@@ -16,36 +16,32 @@ use crate::kv::Key;
 use crate::shardmap::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Tuning knobs for the skew engine. One instance is shared by the
-/// builders with every edge and client of a cluster.
+/// Count-min sketch counters per row (a power of two).
+const SKETCH_WIDTH: usize = 1024;
+
+/// Count-min sketch rows (independent hash functions).
+const SKETCH_DEPTH: usize = 4;
+
+/// Heavy-hitter table slots: at most this many keys are "hot" at once.
+const TOP_K: usize = 16;
+
+/// Decay epoch length in recorded operations: every `EPOCH_OPS` records,
+/// all sketch counters and heavy-hitter counts are halved.
+const EPOCH_OPS: u64 = 4096;
+
+/// The skew engine's one tuning knob. One instance is shared by the
+/// builders with every edge and client of a cluster; the sketch's shape
+/// and decay period are the constants above.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SkewConfig {
-    /// Count-min sketch counters per row (rounded up to a power of two).
-    pub sketch_width: usize,
-    /// Count-min sketch rows (independent hash functions).
-    pub sketch_depth: usize,
-    /// Heavy-hitter table slots: at most this many keys are "hot" at once.
-    pub top_k: usize,
     /// A key's decayed epoch estimate must reach this before it can be
     /// classified hot (filters the long zipfian tail out of the table).
     pub hot_min_count: u64,
-    /// Decay epoch length in recorded operations: every `epoch_ops`
-    /// records, all sketch counters and heavy-hitter counts are halved.
-    pub epoch_ops: u64,
-    /// Validating edge-cache entries per edge (0 disables the cache).
-    pub cache_capacity: usize,
 }
 
 impl Default for SkewConfig {
     fn default() -> Self {
-        SkewConfig {
-            sketch_width: 1024,
-            sketch_depth: 4,
-            top_k: 16,
-            hot_min_count: 32,
-            epoch_ops: 4096,
-            cache_capacity: 64,
-        }
+        SkewConfig { hot_min_count: 32 }
     }
 }
 
@@ -111,23 +107,20 @@ impl HotSlot {
 /// concurrent records during a halving can only over-count, which a
 /// count-min sketch tolerates by construction.
 pub struct KeySketch {
-    width_mask: u64,
-    depth: usize,
     rows: Vec<AtomicU64>,
     slots: Vec<HotSlot>,
     hot_min: u64,
-    epoch_ops: u64,
     ops: AtomicU64,
     epoch: AtomicU64,
 }
 
 impl KeySketch {
-    /// Builds a sketch sized by `cfg`.
+    /// Builds a sketch with `cfg`'s hot threshold.
     pub fn new(cfg: &SkewConfig) -> Self {
-        let width = cfg.sketch_width.max(8).next_power_of_two();
-        let depth = cfg.sketch_depth.clamp(1, 8);
-        let rows = (0..width * depth).map(|_| AtomicU64::new(0)).collect();
-        let slots = (0..cfg.top_k.max(1))
+        let rows = (0..SKETCH_WIDTH * SKETCH_DEPTH)
+            .map(|_| AtomicU64::new(0))
+            .collect();
+        let slots = (0..TOP_K)
             .map(|_| HotSlot {
                 tag: AtomicU64::new(0),
                 hash: AtomicU64::new(0),
@@ -135,12 +128,9 @@ impl KeySketch {
             })
             .collect();
         KeySketch {
-            width_mask: (width - 1) as u64,
-            depth,
             rows,
             slots,
             hot_min: cfg.hot_min_count.max(1),
-            epoch_ops: cfg.epoch_ops.max(64),
             ops: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
         }
@@ -150,8 +140,8 @@ impl KeySketch {
         // Each row gets an independent hash by remixing with a distinct
         // odd constant; splitmix64 is a full-avalanche finalizer.
         let h = splitmix64(hash ^ (row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let idx = row as u64 * (self.width_mask + 1) + (h & self.width_mask);
-        &self.rows[idx as usize]
+        let idx = row * SKETCH_WIDTH + (h as usize & (SKETCH_WIDTH - 1));
+        &self.rows[idx]
     }
 
     /// Records one occurrence of `key` and returns its (over-)estimate
@@ -164,7 +154,7 @@ impl KeySketch {
     pub fn record_hash(&self, hash: u64) -> u64 {
         let hash = if hash == 0 { 1 } else { hash };
         let mut est = u64::MAX;
-        for row in 0..self.depth {
+        for row in 0..SKETCH_DEPTH {
             let c = self.cell(hash, row).fetch_add(1, Ordering::Relaxed) + 1;
             est = est.min(c);
         }
@@ -172,7 +162,7 @@ impl KeySketch {
             self.offer(hash, est);
         }
         let n = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(self.epoch_ops) {
+        if n.is_multiple_of(EPOCH_OPS) {
             self.decay();
         }
         est
@@ -284,7 +274,7 @@ impl KeySketch {
     pub fn estimate(&self, key: &Key) -> u64 {
         let hash = key.stable_hash();
         let hash = if hash == 0 { 1 } else { hash };
-        (0..self.depth)
+        (0..SKETCH_DEPTH)
             .map(|row| self.cell(hash, row).load(Ordering::Relaxed))
             .min()
             .unwrap_or(0)
@@ -407,20 +397,15 @@ impl std::fmt::Display for SkewSnapshot {
 mod tests {
     use super::*;
 
-    fn small_cfg() -> SkewConfig {
-        SkewConfig {
-            sketch_width: 64,
-            sketch_depth: 4,
-            top_k: 4,
-            hot_min_count: 8,
-            epoch_ops: 256,
-            cache_capacity: 8,
-        }
+    /// The default sketch shape with a low hot threshold, so a few dozen
+    /// records classify a key.
+    fn cfg() -> SkewConfig {
+        SkewConfig { hot_min_count: 8 }
     }
 
     #[test]
     fn hot_key_is_classified_and_cold_keys_are_not() {
-        let s = KeySketch::new(&small_cfg());
+        let s = KeySketch::new(&cfg());
         let hot = Key::from("hot");
         for i in 0..100u32 {
             s.record(&hot);
@@ -436,8 +421,7 @@ mod tests {
 
     #[test]
     fn decay_cools_an_idle_key() {
-        let cfg = small_cfg();
-        let s = KeySketch::new(&cfg);
+        let s = KeySketch::new(&cfg());
         let hot = Key::from("hot");
         for _ in 0..32 {
             s.record(&hot);
@@ -445,7 +429,7 @@ mod tests {
         assert!(s.is_hot(&hot));
         // Drive several epochs of unrelated traffic; halving should both
         // advance the epoch counter and evict the now-idle key.
-        for i in 0..(cfg.epoch_ops * 4) {
+        for i in 0..(EPOCH_OPS * 4) {
             s.record(&Key::from(format!("other:{}", i % 4096)));
         }
         assert!(s.epoch() >= 3);
@@ -454,43 +438,42 @@ mod tests {
 
     #[test]
     fn top_k_is_bounded_and_keeps_the_heaviest() {
-        let cfg = SkewConfig {
-            top_k: 2,
-            ..small_cfg()
-        };
-        let s = KeySketch::new(&cfg);
-        // Three contenders with clearly separated rates.
-        for i in 0..600u32 {
-            s.record(&Key::from("a"));
-            if i % 2 == 0 {
-                s.record(&Key::from("b"));
+        let s = KeySketch::new(&cfg());
+        // Twice as many contenders as slots, all above the hot threshold,
+        // and one clearly heavier key.
+        let contenders = 2 * TOP_K;
+        for _ in 0..600u32 {
+            for _ in 0..4 {
+                s.record(&Key::from("a"));
             }
-            if i % 16 == 0 {
-                s.record(&Key::from("c"));
+            for c in 0..contenders {
+                s.record(&Key::from(format!("c{c}")));
             }
         }
-        assert!(s.hot_keys().len() <= 2);
+        let hh = s.hot_keys();
+        assert!(hh.len() <= TOP_K, "{} hot keys", hh.len());
         assert!(s.is_hot(&Key::from("a")));
+        assert_eq!(hh.first().map(|&(h, _)| h), Some(Key::from("a").stable_hash()));
     }
 
     #[test]
     fn concurrent_offers_keep_slot_pairs_well_formed() {
-        // Hammer a tiny table with competing displacers, refreshers and
+        // Hammer the table with competing displacers, refreshers and
         // readers across threads: the tag discipline must keep every
         // observable (hash, count) pair one that some writer actually
         // wrote together — never an evicted key's hash with the
-        // incoming key's count.
-        let cfg = SkewConfig {
-            top_k: 2,
-            ..small_cfg()
-        };
-        let s = std::sync::Arc::new(KeySketch::new(&cfg));
+        // incoming key's count. Half the records go to 8 heavy keys and
+        // half spread over 4x more contenders than slots, so heavy keys
+        // keep displacing light ones.
+        let s = std::sync::Arc::new(KeySketch::new(&cfg()));
+        let spread = 4 * TOP_K as u64;
         let threads: Vec<_> = (0..4u64)
             .map(|t| {
                 let s = std::sync::Arc::clone(&s);
                 std::thread::spawn(move || {
                     for i in 0..20_000u64 {
-                        s.record(&Key::from(format!("contender:{}", (i + t) % 6)));
+                        let k = if i % 2 == 0 { (i + t) % 8 } else { (i + t) % spread };
+                        s.record(&Key::from(format!("contender:{k}")));
                         if i % 32 == 0 {
                             s.is_hot(&Key::from("contender:0"));
                             s.hot_keys();
@@ -504,9 +487,9 @@ mod tests {
         }
         // Table stayed bounded; every surviving pair is well-formed.
         let hh = s.hot_keys();
-        assert!(hh.len() <= 2);
+        assert!(hh.len() <= TOP_K);
         for (h, c) in hh {
-            assert!(h != 0 && c >= cfg.hot_min_count / 2);
+            assert!(h != 0 && c >= cfg().hot_min_count / 2);
         }
         // No writer left a slot claimed (all tags even again).
         assert!(s.slots.iter().all(|s| s.tag.load(Ordering::Relaxed) % 2 == 0));
@@ -514,7 +497,7 @@ mod tests {
 
     #[test]
     fn zero_hash_keys_are_remapped_not_lost() {
-        let s = KeySketch::new(&small_cfg());
+        let s = KeySketch::new(&cfg());
         for _ in 0..32 {
             s.record_hash(0);
         }
@@ -534,7 +517,7 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let cfg = SkewConfig::default();
-        assert!(cfg.sketch_width.is_power_of_two());
-        assert!(cfg.hot_min_count > 0 && cfg.epoch_ops > cfg.hot_min_count);
+        assert!(SKETCH_WIDTH.is_power_of_two());
+        assert!(cfg.hot_min_count > 0 && EPOCH_OPS > cfg.hot_min_count);
     }
 }

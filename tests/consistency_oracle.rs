@@ -96,10 +96,7 @@ fn oracle_stalls(seed: u64) -> bespokv_suite::runtime::StallPlan {
 /// cached value served past the gate's proof, or a spread read landing on
 /// a stale replica, would fail the same linearizability checks.
 fn tight_skew() -> SkewConfig {
-    SkewConfig {
-        hot_min_count: 4,
-        ..SkewConfig::default()
-    }
+    SkewConfig { hot_min_count: 4 }
 }
 
 fn oracle_spec(mode: Mode, seed: u64) -> ClusterSpec {
