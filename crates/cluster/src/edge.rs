@@ -22,8 +22,10 @@
 //!
 //! [`NodeEdge`] packages the live-runtime side: a TCP request handler
 //! that serves GETs on the reactor thread when permitted and relays the
-//! rest to the controlet actor through a [`Mailbox`]; the replying actor's
-//! thread completes entries, a sweeper thread expires deadlines (10 ms).
+//! rest to the controlet actor through a [`Mailbox`]; the thread running
+//! the replying actor completes entries — for an idle controlet, the
+//! reactor thread that relayed — and a sweeper thread expires deadlines
+//! (10 ms).
 //!
 //! The **skew engine** ([`SkewState`]) rides on both halves.
 //! Every GET that reaches the fast path is recorded in a count-min
@@ -544,10 +546,11 @@ impl RelayHealth {
 /// handler that serves permitted GETs on the calling reactor thread and
 /// relays everything else to the controlet actor via a [`Mailbox`]. A
 /// relayed request *parks the connection, never the thread*: the serving
-/// turn returns immediately with [`Served::Parked`]. The replying actor's
-/// thread completes entries; a sweeper thread expires deadlines every
-/// 10 ms with `Timeout`, so a wedged controlet costs its own callers a
-/// bounce, not the edge its threads.
+/// turn returns with [`Served::Parked`], having run an idle controlet
+/// itself (the reply then completes the entry before `serve` returns).
+/// The thread running the replying actor completes entries; a sweeper
+/// thread expires deadlines every 10 ms with `Timeout`, so a wedged
+/// controlet costs its own callers a bounce, not the edge its threads.
 pub struct NodeEdge {
     inner: Arc<EdgeInner>,
     stop: Arc<AtomicBool>,
@@ -555,7 +558,7 @@ pub struct NodeEdge {
 }
 
 /// Shared state of one [`NodeEdge`]: everything the serving threads, the
-/// replying actor threads and the sweeper thread touch.
+/// threads running the replying actors and the sweeper thread touch.
 struct EdgeInner {
     node: NodeId,
     table: Arc<FastPathTable>,
@@ -630,8 +633,9 @@ impl NodeEdge {
 
     /// The deferred request handler for `TcpServer::bind_deferred`: serves
     /// or sheds inline where possible and parks the *connection* for
-    /// relays. A relayed request costs the reactor thread nothing but the
-    /// dispatch, so a wedged controlet cannot absorb reactor threads.
+    /// relays. A relay to a busy or stalled controlet costs the reactor
+    /// thread nothing but the dispatch, so a wedged controlet cannot absorb
+    /// reactor threads; an idle one runs on the reactor thread.
     pub fn defer_handler(&self) -> Arc<DeferHandler> {
         let inner = Arc::clone(&self.inner);
         Arc::new(move |req: Request, mut defer: Defer<'_>| {

@@ -2,7 +2,9 @@
 //!
 //! The same actors the simulator executes — controlets, coordinator, DLM,
 //! shared logs, scripted clients — here run on real OS threads with real
-//! timers and channels. This is the deployment-shaped configuration:
+//! timers: an idle actor on the thread that sends to it, a busy or stalled
+//! one on the thread already running it or its own home thread. This is
+//! the deployment-shaped configuration:
 //! correctness under true parallelism, wall-clock time, nondeterministic
 //! interleavings.
 

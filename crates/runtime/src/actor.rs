@@ -11,7 +11,8 @@
 //! * [`crate::sim::Simulation`] — a virtual-time discrete-event simulator
 //!   used for cluster-scale experiments (48-node sweeps, failover and
 //!   transition timelines);
-//! * [`crate::live::LiveRuntime`] — real threads and channels, used for
+//! * [`crate::live::LiveRuntime`] — real threads and real time, an idle
+//!   actor's handler running on the thread that sends to it; used for
 //!   integration tests and wall-clock latency measurements.
 
 use bespokv_proto::NetMsg;

@@ -11,8 +11,10 @@
 //!   busy-server capacity model, network latency/bandwidth/jitter model).
 //!   Cluster-scale experiments (48-node sweeps, failover and transition
 //!   timelines) run here.
-//! * [`live`] — a thread-per-actor driver over crossbeam channels with
-//!   real timers; integration tests and wall-clock measurements run here.
+//! * [`live`] — a wall-clock driver that runs an idle actor's handler on
+//!   the thread that sends to it, with a home thread per actor for timers,
+//!   stall windows and hand-offs; integration tests and wall-clock
+//!   measurements run here.
 //! * [`tcp`] — a real TCP server/client speaking any protocol parser, for
 //!   the client edge and the socket-vs-kernel-bypass comparison. The
 //!   server is the epoll [`reactor`] (Linux only).
